@@ -35,7 +35,6 @@ explore:
 # regression fails CI here.
 smoke:
 	dune exec bench/main.exe -- json
-	@test -s BENCH_table1.json
 
 bench:
 	dune exec bench/main.exe
@@ -43,10 +42,9 @@ bench:
 # The cfs proof: replay a diskless boot over a 9600-baud line raw vs
 # cached.  The bench exits non-zero if the cached run does not use
 # strictly fewer 9P round trips and strictly less virtual time, so a
-# cache regression fails CI here.
+# cache regression fails CI here.  Golden-compared under bench-guard.
 bench-cfs:
 	dune exec bench/main.exe -- cfs
-	@test -s BENCH_cfs.json
 
 # The fault-injection proof: IL, TCP, and URP each complete a transfer
 # under the canonical 20% burst-loss + duplication + reorder schedule,
@@ -55,7 +53,6 @@ bench-cfs:
 # nothing, or on a determinism break.
 bench-faults:
 	dune exec bench/main.exe -- faults
-	@test -s BENCH_faults.json
 
 # The swarm proof: 1000 concurrent conversations (IL, then TCP) dialed
 # through CS on one Ethernet segment, all simultaneously established at
@@ -65,7 +62,6 @@ bench-faults:
 # reintroduces a polling ticker), or on a determinism break.
 bench-swarm:
 	dune exec bench/main.exe -- swarm
-	@test -s BENCH_swarm.json
 
 # The routed-internet proof: 10k+ concurrent conversations dialed
 # across a 20-subnet topology (16 leaf subnets, two backbones, a server
@@ -76,7 +72,6 @@ bench-swarm:
 # break.
 bench-routed:
 	dune exec bench/main.exe -- routed
-	@test -s BENCH_routed.json
 
 # The congestion proof: IL vs baseline TCP vs tcpcc across uniform 5%
 # loss, Gilbert 20% burst loss, and the PR 4 synchronized-close collapse
@@ -86,7 +81,6 @@ bench-routed:
 # determinism break.  Golden-compared under bench-guard.
 bench-congestion:
 	dune exec bench/main.exe -- congestion-matrix
-	@test -s BENCH_congestion.json
 
 # The boot-storm proof: 104 terminals (8 racks x 13) power on at the
 # same instant and replay the staged boot through the terminal-tier /
@@ -97,17 +91,17 @@ bench-congestion:
 # Golden-compared under bench-guard.
 bench-bootstorm:
 	dune exec bench/main.exe -- bootstorm
-	@test -s BENCH_bootstorm.json
 
 # Fleet smoke: a 2-rack x 4-terminal storm with the same guards at
 # smoke thresholds.  Tier-1 time; wired into check.
 fleet-smoke:
 	dune exec bench/main.exe -- bootstorm-smoke
 
-# Guard: under the default FIFO policy the virtual-time behavior must
-# reproduce the golden JSONs byte for byte once the one wall-clock perf
-# line is stripped, and the perf member must carry the full schema
-# (values are machine-dependent; the shape is not).
+# Guard: runs every bench registered with a golden in bench/main.ml.
+# Under the default FIFO policy the virtual-time behavior must
+# reproduce each bench/golden/ JSON byte for byte once the one
+# wall-clock perf line is stripped.  Fails if a golden file has no
+# registered bench or a golden bench has no file.
 bench-guard:
 	dune exec bench/main.exe -- guard
 

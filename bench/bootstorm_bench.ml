@@ -31,24 +31,6 @@ let hit_ratio hits misses =
   let t = hits + misses in
   if t = 0 then 0. else float_of_int hits /. float_of_int t
 
-(* replay the staged trace in boot-loader style: walk, open, read
-   sequentially in 512-byte chunks, clunk *)
-let replay_trace eng client root ~db ~sys =
-  ignore eng;
-  List.iter
-    (fun path ->
-      let fid = Ninep.Client.walk_path client root (Cfs_bench.split_path path) in
-      ignore (Ninep.Client.open_ client fid Ninep.Fcall.Oread);
-      let rec go off =
-        let data =
-          Ninep.Client.read client fid ~offset:(Int64.of_int off) ~count:512
-        in
-        if data <> "" then go (off + String.length data)
-      in
-      go 0;
-      Ninep.Client.clunk client fid)
-    (P9net.Bootstage.trace ~db ~sys)
-
 let run_storm ~seed ~racks ~terminals ~tiered =
   let rts = ref 0 and bytes = ref 0 in
   let tap =
@@ -91,7 +73,8 @@ let run_storm ~seed ~racks ~terminals ~tiered =
              let client = Ninep.Client.make eng client_tr in
              Ninep.Client.session client;
              let root = Ninep.Client.attach client ~uname:tname ~aname:"" in
-             replay_trace eng client root ~db ~sys:tname;
+             Cfs_bench.replay_trace client root
+               (P9net.Bootstage.trace ~db ~sys:tname);
              incr booted;
              if Sim.Engine.now eng > !last_finish then
                last_finish := Sim.Engine.now eng)))

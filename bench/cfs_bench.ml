@@ -28,17 +28,6 @@ let trace_bytes =
     (fun acc p -> acc + List.assoc p boot_files)
     0 boot_trace
 
-(* deterministic pseudo-file contents *)
-let file_body path size =
-  let b = Bytes.create size in
-  let h = ref 5381 in
-  String.iter (fun c -> h := ((!h lsl 5) + !h + Char.code c) land 0xffffff) path;
-  for i = 0 to size - 1 do
-    h := ((!h * 1103515245) + 12345) land 0xffffff;
-    Bytes.set b i (Char.chr (32 + (!h mod 95)))
-  done;
-  Bytes.to_string b
-
 (* count T-messages and bytes crossing the serial wire *)
 let counted tr rts bytes =
   {
@@ -67,6 +56,23 @@ type run = {
 let split_path p =
   List.filter (fun s -> s <> "") (String.split_on_char '/' p)
 
+(* replay a read trace the way a boot loader does: walk, open, read
+   sequentially in small 512-byte chunks, clunk *)
+let replay_trace client root trace =
+  List.iter
+    (fun path ->
+      let fid = Ninep.Client.walk_path client root (split_path path) in
+      ignore (Ninep.Client.open_ client fid Ninep.Fcall.Oread);
+      let rec go off =
+        let data =
+          Ninep.Client.read client fid ~offset:(Int64.of_int off) ~count:512
+        in
+        if data <> "" then go (off + String.length data)
+      in
+      go 0;
+      Ninep.Client.clunk client fid)
+    trace
+
 let replay ~cached ~seed ~baud =
   let eng = Sim.Engine.create ~seed () in
   let term_end, srv_end =
@@ -74,7 +80,8 @@ let replay ~cached ~seed ~baud =
   in
   let ramfs = Ninep.Ramfs.make ~owner:"bootes" ~name:"bootfs" () in
   List.iter
-    (fun (path, size) -> Ninep.Ramfs.add_file ramfs path (file_body path size))
+    (fun (path, size) ->
+      Ninep.Ramfs.add_file ramfs path (P9net.Bootstage.file_body path size))
     boot_files;
   ignore
     (Ninep.Server.serve eng (Ninep.Ramfs.fs ramfs)
@@ -91,21 +98,7 @@ let replay ~cached ~seed ~baud =
     (Sim.Proc.spawn eng ~name:"terminal" (fun () ->
          Ninep.Client.session client;
          let root = Ninep.Client.attach client ~uname:"terminal" ~aname:"" in
-         List.iter
-           (fun path ->
-             let fid = Ninep.Client.walk_path client root (split_path path) in
-             ignore (Ninep.Client.open_ client fid Ninep.Fcall.Oread);
-             (* a boot loader reads in small sequential chunks *)
-             let rec go off =
-               let data =
-                 Ninep.Client.read client fid ~offset:(Int64.of_int off)
-                   ~count:512
-               in
-               if data <> "" then go (off + String.length data)
-             in
-             go 0;
-             Ninep.Client.clunk client fid)
-           boot_trace;
+         replay_trace client root boot_trace;
          finish := Sim.Engine.now eng));
   Sim.Engine.run eng;
   {

@@ -17,9 +17,6 @@
    Everything runs in virtual time on seeded engines, so the JSON is
    byte-identical across same-seed runs. *)
 
-let msgs = 200
-let size = 1000
-
 (* collapse-axis knobs: PR 4's schedule with the de-tuning reversed —
    10 Mb/s and a perfectly synchronized close burst (dials keep the
    2 ms ramp; a thousand simultaneous SYNs is a different study).  The
@@ -39,150 +36,52 @@ let collapse_dial_ramp = 0.01
 
 let uniform_schedule f = Netsim.Fault.set_loss f 0.05
 
-let burst_schedule f =
-  Netsim.Fault.set_burst f ~p_enter:0.05 ~p_exit:0.2 ~loss:1.0;
-  Netsim.Fault.set_dup f 0.05;
-  Netsim.Fault.set_reorder f ~delay:2e-3 0.05;
-  Netsim.Fault.set_jitter f 0.5e-3
-
-type xfer = {
-  c_converged : bool;
-  c_elapsed : float;  (* virtual seconds to deliver everything *)
-  c_retransmits : int;
-  c_retransmitted_bytes : int;
-  c_fast_retransmits : int;  (* tcpcc only; 0 elsewhere *)
-}
-
-let ether_pair ~schedule ~seed =
-  let eng = Sim.Engine.create ~seed () in
-  let seg = Netsim.Ether.create ~name:"ether0" eng in
-  let mk n addr =
-    let nic =
-      Netsim.Ether.attach seg
-        (Netsim.Eaddr.of_string (Printf.sprintf "08006902%04x" n))
-    in
-    let port = Inet.Etherport.create eng nic in
-    Inet.Ip.create
-      ~addr:(Inet.Ipaddr.of_string addr)
-      ~mask:(Inet.Ipaddr.of_string "255.255.255.0")
-      port
-  in
-  let a = mk 1 "10.0.0.1" in
-  let b = mk 2 "10.0.0.2" in
-  schedule (Netsim.Ether.faults seg);
-  (eng, a, b)
-
-let il_xfer ~schedule ~seed =
-  let eng, ipa, ipb = ether_pair ~schedule ~seed in
-  let ila = Inet.Il.attach ipa and ilb = Inet.Il.attach ipb in
-  let finish = ref 0. and got = ref 0 in
-  ignore
-    (Sim.Proc.spawn eng ~name:"rx" (fun () ->
-         let lis = Inet.Il.announce ilb ~port:1 in
-         let conv = Inet.Il.listen lis in
-         for _ = 1 to msgs do
-           match Inet.Il.read_msg conv with
-           | Some _ -> incr got
-           | None -> ()
-         done;
-         finish := Sim.Engine.now eng));
-  ignore
-    (Sim.Proc.spawn eng ~name:"tx" (fun () ->
-         let conv =
-           Inet.Il.connect ila ~raddr:(Inet.Ipaddr.of_string "10.0.0.2")
-             ~rport:1
-         in
-         let payload = String.make size 'd' in
-         for _ = 1 to msgs do
-           Inet.Il.write conv payload
-         done));
-  Sim.Engine.run ~until:600.0 eng;
-  let ca = Inet.Il.counters ila and cb = Inet.Il.counters ilb in
-  {
-    c_converged = !got = msgs;
-    c_elapsed = !finish;
-    c_retransmits = ca.Inet.Il.retransmits + cb.Inet.Il.retransmits;
-    c_retransmitted_bytes =
-      ca.Inet.Il.retransmitted_bytes + cb.Inet.Il.retransmitted_bytes;
-    c_fast_retransmits = 0;
-  }
-
-(* one runner serves tcp and tcpcc: [attach] picks the variant *)
-let tcp_xfer ~attach ~schedule ~seed =
-  let eng, ipa, ipb = ether_pair ~schedule ~seed in
-  let tcpa = attach ipa and tcpb = attach ipb in
-  let total = msgs * size in
-  let finish = ref 0. and got = ref 0 in
-  ignore
-    (Sim.Proc.spawn eng ~name:"rx" (fun () ->
-         let lis = Inet.Tcp.announce tcpb ~port:1 in
-         let conv = Inet.Tcp.listen lis in
-         while !got < total do
-           let s = Inet.Tcp.read conv 8192 in
-           if s = "" then got := total else got := !got + String.length s
-         done;
-         finish := Sim.Engine.now eng));
-  ignore
-    (Sim.Proc.spawn eng ~name:"tx" (fun () ->
-         let conv =
-           Inet.Tcp.connect tcpa ~raddr:(Inet.Ipaddr.of_string "10.0.0.2")
-             ~rport:1
-         in
-         let payload = String.make size 'd' in
-         for _ = 1 to msgs do
-           Inet.Tcp.write conv payload
-         done));
-  Sim.Engine.run ~until:600.0 eng;
-  let ca = Inet.Tcp.counters tcpa and cb = Inet.Tcp.counters tcpb in
-  {
-    c_converged = !finish > 0.;
-    c_elapsed = !finish;
-    c_retransmits = ca.Inet.Tcp.retransmits + cb.Inet.Tcp.retransmits;
-    c_retransmitted_bytes =
-      ca.Inet.Tcp.retransmitted_bytes + cb.Inet.Tcp.retransmitted_bytes;
-    c_fast_retransmits =
-      ca.Inet.Tcp.fast_retransmits + cb.Inet.Tcp.fast_retransmits;
-  }
+let burst_schedule = Faults_bench.canonical_schedule
 
 let loss_row ~schedule ~seed =
-  [
-    ("il", il_xfer ~schedule ~seed);
-    ("tcp", tcp_xfer ~attach:(fun ip -> Inet.Tcp.attach ip) ~schedule ~seed);
-    ( "tcpcc",
-      tcp_xfer ~attach:(fun ip -> Inet.Tcp.attach_cc ip) ~schedule ~seed );
-  ]
+  List.map
+    (fun (name, proto) -> (name, Xfer.run ~proto ~schedule ~seed))
+    [
+      ("il", Xfer.Il Inet.Il.default_config);
+      ("tcp", Xfer.Tcp);
+      ("tcpcc", Xfer.Tcpcc);
+    ]
 
-let xfer_json name x =
+let xfer_json name (x : Xfer.t) =
   Printf.sprintf
     "    %S: {\"converged\": %b, \"elapsed_s\": %.6f, \"retransmits\": %d, \
      \"retransmitted_bytes\": %d, \"fast_retransmits\": %d}"
-    name x.c_converged x.c_elapsed x.c_retransmits x.c_retransmitted_bytes
-    x.c_fast_retransmits
+    name x.converged x.elapsed
+    (Xfer.both (fun e -> e.retransmits) x)
+    (Xfer.both (fun e -> e.retransmitted_bytes) x)
+    (Xfer.both (fun e -> e.fast_retransmits) x)
 
 (* ---- the collapse axis: the swarm bench's schedule, de-tuned ---- *)
 
-let collapse_side ?(msg_bytes = collapse_msg_bytes) ~seed proto =
-  Swarm_bench.run_side ~bandwidth:collapse_bandwidth ~ramp:collapse_dial_ramp
-    ~close_ramp:0. ~msg_bytes ~seed ~proto ~hosts:collapse_hosts
-    ~convs_per_host:collapse_convs_per_host ()
+let collapse_side ~seed proto =
+  Swarm_bench.run_side
+    ~topology:
+      (Swarm_bench.Flat
+         { hosts = collapse_hosts; bandwidth = collapse_bandwidth })
+    ~proto ~convs_per_host:collapse_convs_per_host ~ramp:collapse_dial_ramp
+    ~close_ramp:0. ~msg_bytes:collapse_msg_bytes ~seed
 
 (* the trio the collapse section and the matrix share: same schedule,
    one run per transport, perf reports kept separate from the sides *)
-let collapse_trio ?(seed = 9) () =
+let collapse_trio ~seed =
   List.map (fun p -> (p, collapse_side ~seed p)) [ "il"; "tcp"; "tcpcc" ]
 
 let collapse_json (s : Swarm_bench.side) =
   Printf.sprintf
     "    %S: {\"converged\": %b, \"completed\": %d, \"elapsed_s\": %.6f, \
      \"retransmits\": %d, \"fast_retransmits\": %d, \"backlog_refused\": %d}"
-    s.Swarm_bench.s_proto s.Swarm_bench.s_converged s.Swarm_bench.s_completed
-    s.Swarm_bench.s_elapsed s.Swarm_bench.s_retransmits
-    s.Swarm_bench.s_fast_retransmits s.Swarm_bench.s_refused
+    s.s_proto s.s_converged s.s_completed s.s_elapsed s.s_retransmits
+    s.s_fast_retransmits s.s_refused
 
 type result = {
   res_json : string;  (* deterministic: byte-identical across same-seed runs *)
-  res_uniform : (string * xfer) list;
-  res_burst : (string * xfer) list;
+  res_uniform : (string * Xfer.t) list;
+  res_burst : (string * Xfer.t) list;
   res_collapse : (string * Swarm_bench.side) list;
   res_perf : (string * Obs.Prof.report) list;  (* wall clock; never in res_json *)
 }
@@ -190,24 +89,19 @@ type result = {
 let run ?(seed = 9) () =
   let uniform = loss_row ~schedule:uniform_schedule ~seed in
   let burst = loss_row ~schedule:burst_schedule ~seed in
-  let collapse_raw = collapse_trio ~seed () in
+  let collapse_raw = collapse_trio ~seed in
   let collapse = List.map (fun (p, (s, _)) -> (p, s)) collapse_raw in
   let perf = List.map (fun (p, (_, rep)) -> ("collapse_" ^ p, rep)) collapse_raw in
   let b = Buffer.create 2048 in
   let emit_group name rows json_of =
-    Printf.bprintf b "  %S: {\n" name;
-    let n = List.length rows in
-    List.iteri
-      (fun i (p, x) ->
-        Printf.bprintf b "%s%s\n" (json_of p x) (if i < n - 1 then "," else ""))
-      rows;
-    Printf.bprintf b "  }"
+    Printf.bprintf b "  %S: {\n%s\n  }" name
+      (String.concat ",\n" (List.map (fun (p, x) -> json_of p x) rows))
   in
   Printf.bprintf b "{\n";
   Printf.bprintf b "  \"bench\": \"congestion\",\n";
   Printf.bprintf b "  \"seed\": %d,\n" seed;
-  Printf.bprintf b "  \"msgs\": %d,\n" msgs;
-  Printf.bprintf b "  \"msg_bytes\": %d,\n" size;
+  Printf.bprintf b "  \"msgs\": %d,\n" Xfer.msgs;
+  Printf.bprintf b "  \"msg_bytes\": %d,\n" Xfer.size;
   Printf.bprintf b
     "  \"collapse_schedule\": {\"hosts\": %d, \"convs_per_host\": %d, \
      \"bandwidth_mbps\": %.0f, \"ramp_s\": 0.0, \"msg_bytes\": %d},\n"

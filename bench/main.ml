@@ -14,7 +14,6 @@ let hr () = print_endline (String.make 66 '-')
 (* ------------------------------------------------------------------ *)
 
 let run_table1 () =
-  section "Table 1 - Performance (paper section 8)";
   Printf.printf
     "throughput: 16k writes between two processes; latency: 1-byte RTT\n";
   hr ();
@@ -36,65 +35,10 @@ let run_table1 () =
      and the reverse ordering for latency."
 
 (* ------------------------------------------------------------------ *)
-(* table1 again, machine-readable, with the kernel trace attached:     *)
-(* throughput, latency, and every observability counter per path.      *)
-(* Smoke check for CI — fails if a path records no events at all.      *)
-(* ------------------------------------------------------------------ *)
-
-let run_table1_json () =
-  let rows =
-    List.map
-      (fun p ->
-        let tr = Obs.Trace.create () in
-        let instrument eng = Sim.Engine.attach_obs eng tr in
-        let mbs = Table1.throughput_mbs ~instrument p in
-        let ms = Table1.latency_ms ~instrument p in
-        (p, mbs, ms, tr))
-      Table1.all
-  in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n  \"table1\": [\n";
-  let n = List.length rows in
-  List.iteri
-    (fun i (p, mbs, ms, tr) ->
-      Printf.bprintf buf
-        "    {\"path\": %S, \"paper_mbs\": %g, \"measured_mbs\": %.4f, \
-         \"paper_ms\": %g, \"measured_ms\": %.4f, \"events\": %d, \
-         \"counters\": %s}%s\n"
-        p.Table1.p_name p.Table1.p_paper_mbs mbs p.Table1.p_paper_ms ms
-        (Obs.Trace.seq tr)
-        (Obs.Trace.counters_json tr)
-        (if i < n - 1 then "," else ""))
-    rows;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out "BENCH_table1.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote BENCH_table1.json (%d paths)\n%!" n;
-  let dead =
-    List.filter
-      (fun (_, _, _, tr) ->
-        Obs.Trace.seq tr = 0
-        || List.for_all
-             (fun (_, v) -> v = 0)
-             (Obs.Metrics.counters (Obs.Trace.metrics tr)))
-      rows
-  in
-  if dead <> [] then begin
-    List.iter
-      (fun (p, _, _, _) ->
-        Printf.eprintf "error: no observability counters recorded for %s\n"
-          p.Table1.p_name)
-      dead;
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Figure 1: the Ethernet device file tree                             *)
 (* ------------------------------------------------------------------ *)
 
 let run_fig1 () =
-  section "Figure 1 - the ether device tree (paper section 2.2)";
   let w = P9net.World.bell_labs () in
   let helix = P9net.World.host w "helix" in
   ignore
@@ -141,7 +85,6 @@ let rec find_root dir =
     if parent = dir then None else find_root parent
 
 let run_codesize () =
-  section "IL vs TCP implementation size (paper section 3)";
   match find_root (Sys.getcwd ()) with
   | None -> print_endline "(source tree not found; run from the repo)"
   | Some root ->
@@ -162,87 +105,17 @@ let run_codesize () =
 (* Section 3's congestion claim: query-based vs blind retransmission   *)
 (* ------------------------------------------------------------------ *)
 
-let make_pair ?(loss = 0.) ?(seed = 9) () =
-  let eng = Sim.Engine.create ~seed () in
-  let seg = Netsim.Ether.create ~loss ~name:"ether0" eng in
-  let mk n addr =
-    let nic =
-      Netsim.Ether.attach seg
-        (Netsim.Eaddr.of_string (Printf.sprintf "08006902%04x" n))
-    in
-    let port = Inet.Etherport.create eng nic in
-    Inet.Ip.create
-      ~addr:(Inet.Ipaddr.of_string addr)
-      ~mask:(Inet.Ipaddr.of_string "255.255.255.0")
-      port
-  in
-  (eng, mk 1 "10.0.0.1", mk 2 "10.0.0.2")
+(* a link with uniform per-frame loss *)
+let lossy loss f = Netsim.Fault.set_loss f loss
 
-let congestion_row_il ?seed ~loss ~msgs ~size () =
-  let eng, ipa, ipb = make_pair ~loss ?seed () in
-  let ila = Inet.Il.attach ipa and ilb = Inet.Il.attach ipb in
-  let finish = ref 0. in
-  ignore
-    (Sim.Proc.spawn eng ~name:"rx" (fun () ->
-         let lis = Inet.Il.announce ilb ~port:1 in
-         let conv = Inet.Il.listen lis in
-         for _ = 1 to msgs do
-           ignore (Inet.Il.read_msg conv)
-         done;
-         finish := Sim.Engine.now eng));
-  ignore
-    (Sim.Proc.spawn eng ~name:"tx" (fun () ->
-         let conv =
-           Inet.Il.connect ila ~raddr:(Inet.Ipaddr.of_string "10.0.0.2")
-             ~rport:1
-         in
-         let payload = String.make size 'd' in
-         for _ = 1 to msgs do
-           Inet.Il.write conv payload
-         done));
-  Sim.Engine.run ~until:600.0 eng;
-  let c = Inet.Il.counters ila in
-  ( !finish,
-    c.Inet.Il.retransmitted_bytes,
-    c.Inet.Il.bytes_sent + c.Inet.Il.retransmitted_bytes )
-
-let congestion_row_tcp ?seed ~loss ~msgs ~size () =
-  let eng, ipa, ipb = make_pair ~loss ?seed () in
-  let tcpa = Inet.Tcp.attach ipa and tcpb = Inet.Tcp.attach ipb in
-  let total = msgs * size in
-  let finish = ref 0. in
-  ignore
-    (Sim.Proc.spawn eng ~name:"rx" (fun () ->
-         let lis = Inet.Tcp.announce tcpb ~port:1 in
-         let conv = Inet.Tcp.listen lis in
-         let got = ref 0 in
-         while !got < total do
-           let s = Inet.Tcp.read conv 8192 in
-           if s = "" then got := total else got := !got + String.length s
-         done;
-         finish := Sim.Engine.now eng));
-  ignore
-    (Sim.Proc.spawn eng ~name:"tx" (fun () ->
-         let conv =
-           Inet.Tcp.connect tcpa ~raddr:(Inet.Ipaddr.of_string "10.0.0.2")
-             ~rport:1
-         in
-         let payload = String.make size 'd' in
-         for _ = 1 to msgs do
-           Inet.Tcp.write conv payload
-         done));
-  Sim.Engine.run ~until:600.0 eng;
-  let c = Inet.Tcp.counters tcpa in
-  ( !finish,
-    c.Inet.Tcp.retransmitted_bytes,
-    c.Inet.Tcp.bytes_sent + c.Inet.Tcp.retransmitted_bytes )
+(* payload throughput of a transfer that took [t] virtual seconds *)
+let kbs t =
+  if t <= 0. then 0. else float_of_int (Xfer.msgs * Xfer.size) /. t /. 1e3
 
 let run_congestion () =
-  section "IL vs TCP under loss (paper section 3: no blind retransmission)";
-  let msgs = 200 and size = 1000 in
-  let payload = msgs * size in
+  let payload = Xfer.msgs * Xfer.size in
   Printf.printf "workload: %d messages x %d bytes on a lossy 10 Mb/s ether\n"
-    msgs size;
+    Xfer.msgs Xfer.size;
   hr ();
   Printf.printf "%-6s | %-25s | %-25s\n" "" "IL (query-based)"
     "TCP (blind go-back-N)";
@@ -252,24 +125,27 @@ let run_congestion () =
   let seeds = [ 9; 10; 11 ] in
   List.iter
     (fun loss ->
-      let row3 row =
+      (* the sender's view: what it resent, and all it put on the wire *)
+      let row3 proto =
         let runs =
-          List.map (fun seed -> row ?seed:(Some seed) ~loss ~msgs ~size ())
+          List.map
+            (fun seed -> Xfer.run ~proto ~schedule:(lossy loss) ~seed)
             seeds
         in
-        let n = float_of_int (List.length runs) in
-        ( List.fold_left (fun a (t, _, _) -> a +. t) 0. runs /. n,
-          List.fold_left (fun a (_, re, _) -> a +. float_of_int re) 0. runs
-          /. n,
-          List.fold_left (fun a (_, _, s) -> a +. float_of_int s) 0. runs
-          /. n )
+        let mean (f : Xfer.t -> float) =
+          List.fold_left (fun a x -> a +. f x) 0. runs
+          /. float_of_int (List.length runs)
+        in
+        ( mean (fun x -> x.elapsed),
+          mean (fun x -> float_of_int x.tx.retransmitted_bytes),
+          mean (fun x ->
+              float_of_int (x.tx.bytes_sent + x.tx.retransmitted_bytes)) )
       in
-      let t_il, re_il, sent_il = row3 congestion_row_il in
-      let t_tcp, re_tcp, sent_tcp = row3 congestion_row_tcp in
-      let rate t = if t <= 0. then 0. else float_of_int payload /. t /. 1e3 in
+      let t_il, re_il, sent_il = row3 (Xfer.Il Inet.Il.default_config) in
+      let t_tcp, re_tcp, sent_tcp = row3 Xfer.Tcp in
       let ovr sent = (sent -. float_of_int payload) /. float_of_int payload *. 100. in
       Printf.printf "%5.0f%% | %8.1f %8.0f %6.1f%% | %8.1f %8.0f %6.1f%%\n%!"
-        (loss *. 100.) (rate t_il) re_il (ovr sent_il) (rate t_tcp) re_tcp
+        (loss *. 100.) (kbs t_il) re_il (ovr sent_il) (kbs t_tcp) re_tcp
         (ovr sent_tcp))
     [ 0.0; 0.02; 0.05; 0.10 ];
   Printf.printf "(averaged over %d seeds)\n" (List.length seeds);
@@ -282,48 +158,19 @@ let run_congestion () =
 (* Ablations: the design choices DESIGN.md calls out                   *)
 (* ------------------------------------------------------------------ *)
 
-let il_transfer ~config ~loss ~msgs ~size =
-  let eng, ipa, ipb = make_pair ~loss () in
-  let ila = Inet.Il.attach ~config ipa in
-  let ilb = Inet.Il.attach ~config ipb in
-  let finish = ref 0. in
-  ignore
-    (Sim.Proc.spawn eng ~name:"rx" (fun () ->
-         let lis = Inet.Il.announce ilb ~port:1 in
-         let conv = Inet.Il.listen lis in
-         for _ = 1 to msgs do
-           ignore (Inet.Il.read_msg conv)
-         done;
-         finish := Sim.Engine.now eng));
-  ignore
-    (Sim.Proc.spawn eng ~name:"tx" (fun () ->
-         let conv =
-           Inet.Il.connect ila ~raddr:(Inet.Ipaddr.of_string "10.0.0.2")
-             ~rport:1
-         in
-         let payload = String.make size 'd' in
-         for _ = 1 to msgs do
-           Inet.Il.write conv payload
-         done));
-  Sim.Engine.run ~until:600.0 eng;
-  (!finish, Inet.Il.counters ila)
+let il_transfer ~config ~loss : Xfer.t =
+  Xfer.run ~proto:(Xfer.Il config) ~schedule:(lossy loss) ~seed:9
 
 let run_ablation () =
-  section "ablations (design choices, see DESIGN.md)";
-  let msgs = 200 and size = 1000 in
-  let kbs t = if t <= 0. then 0. else float_of_int (msgs * size) /. t /. 1e3 in
-
   Printf.printf
     "A. IL outstanding-message window (\"a small outstanding message\n\
     \   window\"): bulk throughput on a clean 10 Mb/s ether\n";
   List.iter
     (fun window ->
-      let t, _ =
-        il_transfer
-          ~config:{ Inet.Il.default_config with window }
-          ~loss:0.0 ~msgs ~size
+      let x =
+        il_transfer ~config:{ Inet.Il.default_config with window } ~loss:0.0
       in
-      Printf.printf "   window %3d : %7.1f KB/s\n%!" window (kbs t))
+      Printf.printf "   window %3d : %7.1f KB/s\n%!" window (kbs x.elapsed))
     [ 1; 2; 4; 8; 20; 40 ];
   Printf.printf
     "   (the window must cover the bandwidth-delay product; beyond\n\
@@ -334,14 +181,13 @@ let run_ablation () =
     \   query-timeout recovery, at 5%% loss\n";
   List.iter
     (fun fast_recovery ->
-      let t, c =
-        il_transfer
-          ~config:{ Inet.Il.default_config with fast_recovery }
-          ~loss:0.05 ~msgs ~size
+      let x =
+        il_transfer ~config:{ Inet.Il.default_config with fast_recovery }
+          ~loss:0.05
       in
       Printf.printf "   %-22s : %7.1f KB/s, %d resent, %d queries\n%!"
         (if fast_recovery then "gap-prompted (default)" else "timeout only")
-        (kbs t) c.Inet.Il.retransmits c.Inet.Il.queries_sent)
+        (kbs x.elapsed) x.tx.retransmits x.tx.queries)
     [ true; false ];
   Printf.printf "\n";
 
@@ -350,13 +196,12 @@ let run_ablation () =
     \   clean link (acks per data message)\n";
   List.iter
     (fun ack_delay ->
-      let t, _ =
-        il_transfer
-          ~config:{ Inet.Il.default_config with ack_delay }
-          ~loss:0.0 ~msgs ~size
+      let x =
+        il_transfer ~config:{ Inet.Il.default_config with ack_delay }
+          ~loss:0.0
       in
       Printf.printf "   ack delay %4.0f ms : %7.1f KB/s\n%!"
-        (ack_delay *. 1000.) (kbs t))
+        (ack_delay *. 1000.) (kbs x.elapsed))
     [ 0.0; 0.005; 0.02; 0.1 ]
 
 (* ------------------------------------------------------------------ *)
@@ -369,7 +214,6 @@ let time_it f =
   (r, Unix.gettimeofday () -. t0)
 
 let run_ndb () =
-  section "ndb at scale (paper section 4.1: 43,000-line global file)";
   let lines = 43_000 in
   let dir, path = Genndb.write_temp ~lines in
   Fun.protect
@@ -384,19 +228,14 @@ let run_ndb () =
         ignore
           (Ndb.search t ~attr:"sys" ~value:(Genndb.nth_sys (i * 37 mod 8000)))
       in
-      let (), linear =
-        time_it (fun () ->
-            for i = 1 to lookups do
-              query i
-            done)
+      let scan () =
+        for i = 1 to lookups do
+          query i
+        done
       in
+      let (), linear = time_it scan in
       let (), build = time_it (fun () -> Ndb.write_hash t ~attr:"sys") in
-      let (), hashed =
-        time_it (fun () ->
-            for i = 1 to lookups do
-              query i
-            done)
-      in
+      let (), hashed = time_it scan in
       hr ();
       Printf.printf "%d lookups, linear scan : %8.1f ms  (%6.0f us each)\n"
         lookups (linear *. 1e3)
@@ -417,7 +256,6 @@ let run_ndb () =
 (* ------------------------------------------------------------------ *)
 
 let run_csquery () =
-  section "ndb/csquery (paper section 4.2 examples)";
   let w = P9net.World.bell_labs () in
   let helix = P9net.World.host w "helix" in
   List.iter
@@ -434,7 +272,6 @@ let run_csquery () =
 (* ------------------------------------------------------------------ *)
 
 let run_import () =
-  section "import -a helix /net (paper section 6.1)";
   let w = P9net.World.bell_labs () in
   let gnot = P9net.World.host w "philw-gnot" in
   ignore
@@ -458,7 +295,6 @@ let run_import () =
 (* ------------------------------------------------------------------ *)
 
 let run_gateway () =
-  section "the cost of transparency: reads through mounts (section 6)";
   let w = P9net.World.bell_labs () in
   let helix = P9net.World.host w "helix" in
   Ninep.Ramfs.add_file helix.P9net.Host.root "/tmp/bench" (String.make 512 'x');
@@ -480,16 +316,15 @@ let run_gateway () =
   ignore
     (P9net.Host.spawn helix "local" (fun env ->
          record "local (procedural 9P)" env "/tmp/bench"));
-  ignore
-    (P9net.Host.spawn musca "ether" (fun env ->
-         P9net.Exportfs.import eng env ~host:"helix" ~remote_root:"/tmp"
-           ~onto:"/n" ~flag:Vfs.Ns.Repl ();
-         record "imported over IL/ether" env "/n/bench"));
-  ignore
-    (P9net.Host.spawn gnot "dk" (fun env ->
-         P9net.Exportfs.import eng env ~host:"helix" ~remote_root:"/tmp"
-           ~onto:"/n" ~flag:Vfs.Ns.Repl ();
-         record "imported over URP/Datakit" env "/n/bench"));
+  List.iter
+    (fun (host, pname, name) ->
+      ignore
+        (P9net.Host.spawn host pname (fun env ->
+             P9net.Exportfs.import eng env ~host:"helix" ~remote_root:"/tmp"
+               ~onto:"/n" ~flag:Vfs.Ns.Repl ();
+             record name env "/n/bench")))
+    [ (musca, "ether", "imported over IL/ether");
+      (gnot, "dk", "imported over URP/Datakit") ];
   P9net.World.run ~until:600.0 w;
   List.iter
     (fun (name, per_read) ->
@@ -500,35 +335,6 @@ let run_gateway () =
     "(each remote read is two 9P RPCs — walk/open amortized, read+read0\n\
     \ — carried as delimited messages on the transport; the name space\n\
     \ makes the three paths the same two lines of client code)"
-
-(* ------------------------------------------------------------------ *)
-(* cfs: the diskless-boot replay over a 9600-baud line                  *)
-(* ------------------------------------------------------------------ *)
-
-let run_cfs () =
-  section "cfs - caching the 9P stream on a 9600-baud boot line";
-  let r = Cfs_bench.run () in
-  let oc = open_out "BENCH_cfs.json" in
-  output_string oc r.Cfs_bench.res_json;
-  close_out oc;
-  print_string r.Cfs_bench.res_json;
-  Printf.printf
-    "wrote BENCH_cfs.json (round trips %d -> %d, virtual %.1fs -> %.1fs)\n%!"
-    r.Cfs_bench.res_uncached_rts r.Cfs_bench.res_cached_rts
-    r.Cfs_bench.res_uncached_elapsed r.Cfs_bench.res_cached_elapsed;
-  if r.Cfs_bench.res_cached_rts >= r.Cfs_bench.res_uncached_rts then begin
-    Printf.eprintf
-      "error: cached replay used %d round trips, uncached %d — the cache \
-       saved nothing\n"
-      r.Cfs_bench.res_cached_rts r.Cfs_bench.res_uncached_rts;
-    exit 1
-  end;
-  if r.Cfs_bench.res_cached_elapsed >= r.Cfs_bench.res_uncached_elapsed then begin
-    Printf.eprintf
-      "error: cached replay took %.3fs virtual, uncached %.3fs — no speedup\n"
-      r.Cfs_bench.res_cached_elapsed r.Cfs_bench.res_uncached_elapsed;
-    exit 1
-  end
 
 (* ------------------------------------------------------------------ *)
 (* perf: the wall-clock engine profiler's report, carried in the BENCH  *)
@@ -547,7 +353,8 @@ let perf_line perfs =
   ^ "}"
 
 let inject_perf json perfs =
-  if String.length json < 2 || json.[0] <> '{' || json.[1] <> '\n' then json
+  if perfs = [] || String.length json < 2 || json.[0] <> '{' || json.[1] <> '\n'
+  then json
   else "{\n" ^ perf_line perfs ^ ",\n" ^ String.sub json 2 (String.length json - 2)
 
 let is_perf_line l =
@@ -561,255 +368,337 @@ let strip_perf json =
   |> String.concat "\n"
 
 (* soft regression guard: warn (never fail) when the engine dispatched
-   fewer events per wall-clock second than the floor; tune with
-   PERF_FLOOR=events_per_sec *)
-let perf_floor () =
-  match Sys.getenv_opt "PERF_FLOOR" with
-  | Some s -> ( match float_of_string_opt s with Some f -> f | None -> 1000.)
-  | None -> 1000.
+   fewer events per wall-clock second than the floor *)
+let perf_floor = 1000.
 
 let perf_soft_guard bench perfs =
-  let floor = perf_floor () in
   List.iter
     (fun (name, (rep : Obs.Prof.report)) ->
-      if rep.Obs.Prof.r_events_per_sec < floor then
+      if rep.r_events_per_sec < perf_floor then
         Printf.eprintf
           "warning: %s/%s dispatched %.0f events/s, below the soft floor \
-           %.0f (set PERF_FLOOR to tune)\n%!"
-          bench name rep.Obs.Prof.r_events_per_sec floor)
+           %.0f\n%!"
+          bench name rep.r_events_per_sec perf_floor)
     perfs
 
-(* hard shape check: the values are machine-dependent, the shape is not *)
-let perf_shape_check bench perfs =
-  List.iter
-    (fun (name, (rep : Obs.Prof.report)) ->
-      let fail fmt =
-        Printf.ksprintf
-          (fun m ->
-            Printf.eprintf "error: perf shape %s/%s: %s\n" bench name m;
-            exit 1)
-          fmt
-      in
-      if rep.Obs.Prof.r_events <= 0 then fail "no events dispatched";
-      if rep.Obs.Prof.r_events_per_sec <= 0. then
-        fail "events_per_sec = %g" rep.Obs.Prof.r_events_per_sec;
-      if rep.Obs.Prof.r_minor_words_per_event < 0. then
-        fail "negative minor_words_per_event";
-      if rep.Obs.Prof.r_layers = [] then fail "no layers attributed";
-      let share_sum =
-        List.fold_left
-          (fun a l -> a +. l.Obs.Prof.l_share)
-          0. rep.Obs.Prof.r_layers
-      in
-      if abs_float (share_sum -. 1.0) > 0.05 then
-        fail "layer shares sum to %.3f, not ~1.0" share_sum)
+(* the keys every perf report carries: values are machine-dependent,
+   but the schema is not *)
+let perf_schema =
+  [
+    "events"; "wall_s"; "dispatch_s"; "events_per_sec"; "minor_words";
+    "minor_words_per_event"; "share_sum"; "layers"; "layer"; "share";
+    "words_per_event";
+  ]
+
+(* the profiler's layer labels per report: same-seed reruns must
+   attribute the same set, whatever the values *)
+let layer_sets perfs =
+  List.map
+    (fun (n, (rep : Obs.Prof.report)) ->
+      (n, List.map (fun (l : Obs.Prof.layer) -> l.l_label) rep.r_layers))
     perfs
+
+(* ------------------------------------------------------------------ *)
+(* The registry: one entry per section, one driver for all of them     *)
+(* ------------------------------------------------------------------ *)
+
+(* where a section's result goes: printed only, written to a file, or
+   written and golden-compared under [guard] against bench/golden/ *)
+type output = Stdout | File of string | Golden of string
+
+type outcome = {
+  json : string;  (* the deterministic document; "" if nothing is written *)
+  perf : (string * Obs.Prof.report) list;  (* wall clock; never in [json] *)
+  gates : (bool * string) list;  (* (holds, what broke if it does not) *)
+}
+
+type bench = {
+  name : string;  (* the section name on the command line *)
+  title : string;
+  output : output;
+  rerun : bool;  (* run twice with the same seed and byte-compare *)
+  run : unit -> outcome;
+}
+
+let gate ok fmt = Printf.ksprintf (fun m -> (ok, m)) fmt
+
+let entry name title output ~rerun run = { name; title; output; rerun; run }
+
+(* a section that only prints *)
+let printing name title f =
+  entry name title Stdout ~rerun:false (fun () ->
+      f ();
+      { json = ""; perf = []; gates = [] })
+
+(* hard shape check: the values are machine-dependent, the shape is not *)
+let perf_gates perfs =
+  List.concat_map
+    (fun (name, (rep : Obs.Prof.report)) ->
+      let share_sum =
+        List.fold_left (fun a (l : Obs.Prof.layer) -> a +. l.l_share) 0.
+          rep.r_layers
+      in
+      let quoted = String.split_on_char '"' (Obs.Prof.report_json rep) in
+      [
+        gate (rep.r_events > 0) "perf %s: no events dispatched" name;
+        gate (rep.r_events_per_sec > 0.) "perf %s: events_per_sec = %g" name
+          rep.r_events_per_sec;
+        gate (rep.r_minor_words_per_event >= 0.)
+          "perf %s: negative minor_words_per_event" name;
+        gate (rep.r_layers <> []) "perf %s: no layers attributed" name;
+        gate
+          (abs_float (share_sum -. 1.0) <= 0.05)
+          "perf %s: layer shares sum to %.3f, not ~1.0" name share_sum;
+      ]
+      @ List.map
+          (fun key ->
+            gate (List.mem key quoted) "perf %s lacks key %S" name key)
+          perf_schema)
+    perfs
+
+(* Run one section and its same-seed rerun, write its document with
+   the perf line, then hold it to every gate: its own, the perf shape,
+   and determinism.  Exits 1 on the first failure; returns the document
+   as written. *)
+let run_bench b =
+  section b.title;
+  let t0 = Unix.gettimeofday () in
+  let r = b.run () in
+  let t1 = Unix.gettimeofday () in
+  let r2 = if b.rerun then b.run () else r in
+  let t2 = Unix.gettimeofday () in
+  let doc = inject_perf r.json r.perf in
+  let written =
+    match b.output with
+    | Stdout -> []
+    | File f | Golden f ->
+      print_string r.json;
+      Out_channel.with_open_bin f (fun oc -> output_string oc doc);
+      (* wall clock is machine-dependent: the deterministic JSON stays
+         perf-free; the perf member is one strippable line *)
+      Printf.printf "wrote %s (wall clock %.2fs%s)\n%!" f (t1 -. t0)
+        (if b.rerun then Printf.sprintf " + %.2fs rerun" (t2 -. t1) else "");
+      [
+        gate (doc <> "") "wrote an empty %s" f;
+        gate
+          (r.perf = []
+          || List.exists is_perf_line (String.split_on_char '\n' doc))
+          "%s carries no perf line" f;
+      ]
+  in
+  perf_soft_guard b.name r.perf;
+  List.iter
+    (fun (ok, m) ->
+      if not ok then begin
+        Printf.eprintf "error: %s: %s\n" b.name m;
+        exit 1
+      end)
+    (written @ perf_gates r.perf @ r.gates
+    @ [
+        gate
+          (layer_sets r.perf = layer_sets r2.perf)
+          "two same-seed runs attributed different layer sets — the \
+           profiler shape is unstable";
+        gate (r.json = r2.json)
+          "two same-seed runs produced different JSON — determinism broke";
+      ]);
+  if b.rerun then
+    print_endline "same-seed rerun: byte-identical (determinism holds)";
+  doc
+
+(* ------------------------------------------------------------------ *)
+(* table1 again, machine-readable, with the kernel trace attached:     *)
+(* throughput, latency, and every observability counter per path.      *)
+(* Smoke check for CI — fails if a path records no events at all.      *)
+(* ------------------------------------------------------------------ *)
+
+let table1_json () =
+  let rows =
+    List.map
+      (fun p ->
+        let tr = Obs.Trace.create () in
+        let instrument eng = Sim.Engine.attach_obs eng tr in
+        let mbs = Table1.throughput_mbs ~instrument p in
+        let ms = Table1.latency_ms ~instrument p in
+        (p, mbs, ms, tr))
+      Table1.all
+  in
+  let row ((p : Table1.path), mbs, ms, tr) =
+    Printf.sprintf
+      "    {\"path\": %S, \"paper_mbs\": %g, \"measured_mbs\": %.4f, \
+       \"paper_ms\": %g, \"measured_ms\": %.4f, \"events\": %d, \
+       \"counters\": %s}"
+      p.p_name p.p_paper_mbs mbs p.p_paper_ms ms (Obs.Trace.seq tr)
+      (Obs.Trace.counters_json tr)
+  in
+  {
+    json =
+      "{\n  \"table1\": [\n"
+      ^ String.concat ",\n" (List.map row rows)
+      ^ "\n  ]\n}\n";
+    perf = [];
+    gates =
+      List.map
+        (fun (p, _, _, tr) ->
+          gate
+            (Obs.Trace.seq tr > 0
+            && List.exists
+                 (fun (_, v) -> v <> 0)
+                 (Obs.Metrics.counters (Obs.Trace.metrics tr)))
+            "no observability counters recorded for %s" p.Table1.p_name)
+        rows;
+  }
+
+(* ------------------------------------------------------------------ *)
+(* cfs: the diskless-boot replay over a 9600-baud line                  *)
+(* ------------------------------------------------------------------ *)
+
+let cfs () =
+  let (r : Cfs_bench.result) = Cfs_bench.run () in
+  {
+    json = r.res_json;
+    perf = [];
+    gates =
+      [
+        gate
+          (r.res_cached_rts < r.res_uncached_rts)
+          "cached replay used %d round trips, uncached %d — the cache \
+           saved nothing"
+          r.res_cached_rts r.res_uncached_rts;
+        gate
+          (r.res_cached_elapsed < r.res_uncached_elapsed)
+          "cached replay took %.3fs virtual, uncached %.3fs — no speedup"
+          r.res_cached_elapsed r.res_uncached_elapsed;
+      ];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* fault injection: IL/TCP/URP under the canonical adverse schedule     *)
 (* ------------------------------------------------------------------ *)
 
-let run_faults () =
-  section "fault injection - 20% burst loss + dup + reorder (DESIGN.md)";
-  let r = Faults_bench.run () in
-  let r2 = Faults_bench.run () in
-  print_string r.Faults_bench.res_json;
-  let oc = open_out "BENCH_faults.json" in
-  output_string oc (inject_perf r.Faults_bench.res_json r.Faults_bench.res_perf);
-  close_out oc;
-  Printf.printf "wrote BENCH_faults.json\n%!";
-  perf_soft_guard "faults" r.Faults_bench.res_perf;
-  let check name (x : Faults_bench.xfer) =
-    if not x.Faults_bench.x_converged then begin
-      Printf.eprintf
-        "error: %s did not complete the transfer under the canonical \
-         schedule (virtual %.1fs)\n"
-        name x.Faults_bench.x_elapsed;
-      exit 1
-    end
-  in
-  check "IL" r.Faults_bench.res_il;
-  check "TCP" r.Faults_bench.res_tcp;
-  check "URP" r.Faults_bench.res_urp;
-  if r.Faults_bench.res_il.Faults_bench.x_retransmits = 0 then begin
-    Printf.eprintf
-      "error: the schedule injected no recoverable loss (IL retransmits = \
-       0) — fault injection is not reaching the wire\n";
-    exit 1
-  end;
-  if r.Faults_bench.res_il.Faults_bench.x_dups_suppressed = 0 then begin
-    Printf.eprintf
-      "error: no duplicates suppressed by IL under a 5%% duplication \
-       schedule\n";
-    exit 1
-  end;
-  if r.Faults_bench.res_json <> r2.Faults_bench.res_json then begin
-    Printf.eprintf
-      "error: two same-seed runs produced different BENCH_faults.json — \
-       fault injection broke determinism\n";
-    exit 1
-  end;
-  print_endline "same-seed rerun: byte-identical (determinism holds)"
+let faults () =
+  let (r : Faults_bench.result) = Faults_bench.run ~seed:9 in
+  let il = List.assoc "il" r.res_xfers in
+  {
+    json = r.res_json;
+    perf = List.map (fun (n, (x : Xfer.t)) -> (n, x.perf)) r.res_xfers;
+    gates =
+      List.map
+        (fun (n, (x : Xfer.t)) ->
+          gate x.converged
+            "%s did not complete the transfer under the canonical schedule \
+             (virtual %.1fs)"
+            n x.elapsed)
+        r.res_xfers
+      @ [
+          gate
+            (Xfer.both (fun e -> e.retransmits) il > 0)
+            "the schedule injected no recoverable loss (IL retransmits = 0) \
+             — fault injection is not reaching the wire";
+          gate
+            (Xfer.both (fun e -> e.dups_dropped) il > 0)
+            "no duplicates suppressed by IL under a 5%% duplication schedule";
+        ];
+  }
 
 (* ------------------------------------------------------------------ *)
-(* swarm: a thousand concurrent conversations per transport             *)
+(* swarms: a thousand concurrent conversations per transport on one     *)
+(* segment, and 10k conversations across a multi-segment internet       *)
 (* ------------------------------------------------------------------ *)
+
+(* every side must converge, must have held [min_peak] conversations
+   open at once, and must stay under its recorded events-per-conversation
+   baseline — e.g. if someone reintroduces a per-conversation ticker,
+   events per conversation explodes *)
+let side_gates ~min_peak ~baseline (s : Swarm_bench.side) =
+  let epc = Swarm_bench.events_per_conv s in
+  [
+    gate s.s_converged "%s swarm converged only %d of %d conversations"
+      s.s_proto s.s_completed s.s_total;
+    gate (s.s_peak_convs >= min_peak)
+      "%s peak concurrency %d < %d — the barrier did not hold every \
+       conversation open at once"
+      s.s_proto s.s_peak_convs min_peak;
+    gate (epc <= baseline)
+      "%s used %.2f engine events per conversation (baseline %.2f) — the \
+       event economy regressed"
+      s.s_proto epc baseline;
+  ]
 
 (* recorded baselines for engine events per conversation (seed 11,
-   25 hosts x 40 conversations, 512-byte messages); the run fails if
-   the event economy regresses past them — e.g. if someone reintroduces
-   a per-conversation ticker, events per conversation explodes *)
-let swarm_baseline_il = 46.0 (* measured 36.35 *)
-let swarm_baseline_tcp = 60.0 (* measured 47.35 *)
+   25 hosts x 40 conversations, 512-byte messages) *)
+let swarm_baselines =
+  [ ("il", 46.0 (* measured 36.35 *)); ("tcp", 60.0 (* measured 47.35 *)) ]
 
-let run_swarm () =
-  section "swarm - 1000 concurrent conversations, IL and TCP";
-  let t0 = Unix.gettimeofday () in
-  let r = Swarm_bench.run () in
-  let t1 = Unix.gettimeofday () in
-  let r2 = Swarm_bench.run () in
-  let t2 = Unix.gettimeofday () in
-  print_string r.Swarm_bench.res_json;
-  let oc = open_out "BENCH_swarm.json" in
-  output_string oc (inject_perf r.Swarm_bench.res_json r.Swarm_bench.res_perf);
-  close_out oc;
-  (* wall clock is machine-dependent: deterministic JSON stays perf-free;
-     the perf member is one strippable line *)
-  Printf.printf "wrote BENCH_swarm.json (wall clock %.2fs + %.2fs rerun)\n%!"
-    (t1 -. t0) (t2 -. t1);
-  perf_soft_guard "swarm" r.Swarm_bench.res_perf;
-  perf_shape_check "swarm" r.Swarm_bench.res_perf;
-  (* shape stability across same-seed reruns: same perf keys and the
-     same layer label sets, values exempt *)
-  let shape perfs =
-    List.map
-      (fun (n, (rep : Obs.Prof.report)) ->
-        ( n,
-          List.sort compare
-            (List.map (fun l -> l.Obs.Prof.l_label) rep.Obs.Prof.r_layers) ))
-      perfs
+let swarm () =
+  let r =
+    Swarm_bench.run
+      ~topology:(Swarm_bench.Flat { hosts = 25; bandwidth = 100e6 })
+      ~convs_per_host:40 ~seed:11
   in
-  if shape r.Swarm_bench.res_perf <> shape r2.Swarm_bench.res_perf then begin
-    Printf.eprintf
-      "error: two same-seed runs attributed different layer sets — the \
-       profiler shape is unstable\n";
-    exit 1
-  end;
-  let check baseline (s : Swarm_bench.side) =
-    if not s.Swarm_bench.s_converged then begin
-      Printf.eprintf
-        "error: %s swarm converged only %d of %d conversations\n"
-        s.Swarm_bench.s_proto s.Swarm_bench.s_completed Swarm_bench.total;
-      exit 1
-    end;
-    if s.Swarm_bench.s_peak_convs < Swarm_bench.total then begin
-      Printf.eprintf
-        "error: %s peak concurrency %d < %d — the barrier did not hold \
-         every conversation open at once\n"
-        s.Swarm_bench.s_proto s.Swarm_bench.s_peak_convs Swarm_bench.total;
-      exit 1
-    end;
-    let epc = Swarm_bench.events_per_conv s in
-    if epc > baseline then begin
-      Printf.eprintf
-        "error: %s used %.2f engine events per conversation (baseline \
-         %.2f) — the event economy regressed\n"
-        s.Swarm_bench.s_proto epc baseline;
-      exit 1
-    end
-  in
-  check swarm_baseline_il r.Swarm_bench.res_il;
-  check swarm_baseline_tcp r.Swarm_bench.res_tcp;
-  if r.Swarm_bench.res_json <> r2.Swarm_bench.res_json then begin
-    Printf.eprintf
-      "error: two same-seed runs produced different BENCH_swarm.json — the \
-       swarm broke determinism\n";
-    exit 1
-  end;
-  print_endline "same-seed rerun: byte-identical (determinism holds)"
-
-(* ------------------------------------------------------------------ *)
-(* routed swarm: 10k conversations across a multi-segment internet      *)
-(* ------------------------------------------------------------------ *)
+  {
+    json = r.res_json;
+    perf = r.res_perf;
+    gates =
+      List.concat_map
+        (fun (s : Swarm_bench.side) ->
+          side_gates ~min_peak:s.s_total
+            ~baseline:(List.assoc s.s_proto swarm_baselines)
+            s)
+        r.res_sides;
+  }
 
 (* engine events per conversation for the routed topology (seed 11,
    16 leaves x 14 clients x 45 conversations): dearer than the flat
    swarm because every packet crosses two to four gateway hops *)
 let routed_baseline = 110.0 (* measured 85.82 *)
 
-let run_routed () =
-  section "routed swarm - 10k conversations across a 20-subnet internet";
-  let t0 = Unix.gettimeofday () in
-  let r = Routed_swarm_bench.run () in
-  let t1 = Unix.gettimeofday () in
-  let r2 = Routed_swarm_bench.run () in
-  let t2 = Unix.gettimeofday () in
-  print_string r.Routed_swarm_bench.res_json;
-  let perfs = [ ("il", r.Routed_swarm_bench.res_perf) ] in
-  let oc = open_out "BENCH_routed.json" in
-  output_string oc (inject_perf r.Routed_swarm_bench.res_json perfs);
-  close_out oc;
-  Printf.printf "wrote BENCH_routed.json (wall clock %.2fs + %.2fs rerun)\n%!"
-    (t1 -. t0) (t2 -. t1);
-  perf_soft_guard "routed" perfs;
-  perf_shape_check "routed" perfs;
-  let s = r.Routed_swarm_bench.res in
-  let fail fmt =
-    Printf.ksprintf
-      (fun m ->
-        Printf.eprintf "error: routed swarm: %s\n" m;
-        exit 1)
-      fmt
+let routed () =
+  let r =
+    Swarm_bench.run
+      ~topology:(Swarm_bench.Routed { leaves = 16; clients_per_leaf = 14 })
+      ~convs_per_host:45 ~seed:11
   in
-  if not s.Routed_swarm_bench.r_converged then
-    fail "converged only %d of %d conversations"
-      s.Routed_swarm_bench.r_completed s.Routed_swarm_bench.r_total;
-  if s.Routed_swarm_bench.r_peak_convs < 10000 then
-    fail "peak concurrency %d < 10000 — the barrier did not hold"
-      s.Routed_swarm_bench.r_peak_convs;
-  if s.Routed_swarm_bench.r_segments < 12 then
-    fail "only %d segments — not a multi-segment internet"
-      s.Routed_swarm_bench.r_segments;
-  if s.Routed_swarm_bench.r_forwarded = 0 then
-    fail "gateways forwarded nothing — traffic is not crossing subnets";
-  if s.Routed_swarm_bench.r_tun_tx = 0 || s.Routed_swarm_bench.r_tun_rx = 0 then
-    fail "the Datakit transit carried nothing (tun_tx %d, tun_rx %d)"
-      s.Routed_swarm_bench.r_tun_tx s.Routed_swarm_bench.r_tun_rx;
-  if s.Routed_swarm_bench.r_drops > 0 then
-    fail "%d packets dropped at the routing choke point"
-      s.Routed_swarm_bench.r_drops;
-  let epc = Routed_swarm_bench.events_per_conv s in
-  if epc > routed_baseline then
-    fail
-      "%.2f engine events per conversation (baseline %.2f) — the routed \
-       event economy regressed"
-      epc routed_baseline;
-  if r.Routed_swarm_bench.res_json <> r2.Routed_swarm_bench.res_json then
-    fail "two same-seed runs produced different BENCH_routed.json";
-  print_endline "same-seed rerun: byte-identical (determinism holds)"
+  let s = List.hd r.res_sides in
+  {
+    json = r.res_json;
+    perf = r.res_perf;
+    gates =
+      side_gates ~min_peak:10000 ~baseline:routed_baseline s
+      @ [
+          gate (s.s_segments >= 12)
+            "only %d segments — not a multi-segment internet" s.s_segments;
+          gate (s.s_forwarded > 0)
+            "gateways forwarded nothing — traffic is not crossing subnets";
+          gate
+            (s.s_tun_tx > 0 && s.s_tun_rx > 0)
+            "the Datakit transit carried nothing (tun_tx %d, tun_rx %d)"
+            s.s_tun_tx s.s_tun_rx;
+          gate (s.s_route_drops = 0)
+            "%d packets dropped at the routing choke point" s.s_route_drops;
+        ];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* collapse: the synchronized-close schedule, first class               *)
 (* ------------------------------------------------------------------ *)
 
-let collapse_table trio =
+let collapse_table sides =
   hr ();
   Printf.printf "%-6s | %5s | %9s | %9s | %8s | %7s | %7s\n" "proto" "conv"
     "completed" "elapsed s" "resent" "fastrtx" "refused";
   hr ();
   List.iter
-    (fun (_, (s : Swarm_bench.side)) ->
+    (fun (s : Swarm_bench.side) ->
       Printf.printf "%-6s | %5s | %5d/%-4d| %9.2f | %8d | %7d | %7d\n%!"
-        s.Swarm_bench.s_proto
-        (if s.Swarm_bench.s_converged then "yes" else "NO")
-        s.Swarm_bench.s_completed s.Swarm_bench.s_total
-        s.Swarm_bench.s_elapsed s.Swarm_bench.s_retransmits
-        s.Swarm_bench.s_fast_retransmits s.Swarm_bench.s_refused)
-    trio;
+        s.s_proto
+        (if s.s_converged then "yes" else "NO")
+        s.s_completed s.s_total s.s_elapsed s.s_retransmits
+        s.s_fast_retransmits s.s_refused)
+    sides;
   hr ()
 
 let run_collapse () =
-  section "collapse - 1000 synchronized closes on a 10 Mb/s ether";
   Printf.printf
     "schedule: %d hosts x %d conversations, zero close stagger, %d-byte\n\
      messages; every conversation sends its second echo and hangs up at\n\
@@ -818,8 +707,8 @@ let run_collapse () =
      retransmit on the same wire format.\n"
     Congestion_bench.collapse_hosts Congestion_bench.collapse_convs_per_host
     Congestion_bench.collapse_msg_bytes;
-  let trio = Congestion_bench.collapse_trio () in
-  collapse_table (List.map (fun (p, (s, _)) -> (p, s)) trio)
+  let trio = Congestion_bench.collapse_trio ~seed:9 in
+  collapse_table (List.map (fun (_, (s, _)) -> s) trio)
 
 (* ------------------------------------------------------------------ *)
 (* congestion-matrix: loss x flows x {il, tcp, tcpcc}                   *)
@@ -830,234 +719,130 @@ let run_collapse () =
    synchronized-close storm *)
 let collapse_tcpcc_retransmit_cap = 20_000 (* measured 17272, seed 9 *)
 
-let run_congestion_matrix () =
-  section "congestion matrix - {uniform, burst, collapse} x {il, tcp, tcpcc}";
-  let t0 = Unix.gettimeofday () in
-  let r = Congestion_bench.run () in
-  let t1 = Unix.gettimeofday () in
-  let r2 = Congestion_bench.run () in
-  let t2 = Unix.gettimeofday () in
-  print_string r.Congestion_bench.res_json;
-  let oc = open_out "BENCH_congestion.json" in
-  output_string oc
-    (inject_perf r.Congestion_bench.res_json r.Congestion_bench.res_perf);
-  close_out oc;
-  Printf.printf
-    "wrote BENCH_congestion.json (wall clock %.2fs + %.2fs rerun)\n%!"
-    (t1 -. t0) (t2 -. t1);
-  perf_soft_guard "congestion" r.Congestion_bench.res_perf;
-  perf_shape_check "congestion" r.Congestion_bench.res_perf;
-  let fail fmt =
-    Printf.ksprintf
-      (fun m ->
-        Printf.eprintf "error: congestion matrix: %s\n" m;
-        exit 1)
-      fmt
-  in
-  (* every transport must survive both loss schedules *)
-  List.iter
-    (fun (group, rows) ->
-      List.iter
-        (fun (proto, (x : Congestion_bench.xfer)) ->
-          if not x.Congestion_bench.c_converged then
-            fail "%s/%s did not complete the transfer (virtual %.1fs)" group
-              proto x.Congestion_bench.c_elapsed)
-        rows)
-    [ ("uniform", r.Congestion_bench.res_uniform);
-      ("burst", r.Congestion_bench.res_burst) ];
-  (* loss must actually reach tcpcc, and fast retransmit must fire:
-     recovery without it would mean the dupack machinery is dead code *)
-  let ucc = List.assoc "tcpcc" r.Congestion_bench.res_uniform in
-  if ucc.Congestion_bench.c_fast_retransmits = 0 then
-    fail "tcpcc recovered from 5%% uniform loss without one fast retransmit";
-  (* the headline: the same synchronized-close schedule that collapses
-     the baseline converges under tcpcc, in bounded retransmissions *)
-  let side p = List.assoc p r.Congestion_bench.res_collapse in
-  let cc = side "tcpcc" and base = side "tcp" in
-  if not cc.Swarm_bench.s_converged then
-    fail "tcpcc collapse run converged only %d of %d"
-      cc.Swarm_bench.s_completed cc.Swarm_bench.s_total;
-  if cc.Swarm_bench.s_retransmits > collapse_tcpcc_retransmit_cap then
-    fail "tcpcc resent %d segments under collapse (cap %d)"
-      cc.Swarm_bench.s_retransmits collapse_tcpcc_retransmit_cap;
-  (* the baseline's collapse is pinned, not fixed: if it ever converges
-     this cheaply the schedule stopped biting and the comparison is
-     meaningless *)
-  if
-    base.Swarm_bench.s_converged
-    && base.Swarm_bench.s_retransmits <= collapse_tcpcc_retransmit_cap
-  then
-    fail
-      "baseline tcp survived the collapse schedule (%d resent) — the \
-       schedule no longer collapses anything"
-      base.Swarm_bench.s_retransmits;
-  if r.Congestion_bench.res_json <> r2.Congestion_bench.res_json then
-    fail "two same-seed runs produced different BENCH_congestion.json";
-  print_endline "same-seed rerun: byte-identical (determinism holds)"
+let congestion_matrix () =
+  let (r : Congestion_bench.result) = Congestion_bench.run () in
+  let (cc : Swarm_bench.side) = List.assoc "tcpcc" r.res_collapse in
+  let (base : Swarm_bench.side) = List.assoc "tcp" r.res_collapse in
+  let ucc = List.assoc "tcpcc" r.res_uniform in
+  {
+    json = r.res_json;
+    perf = r.res_perf;
+    gates =
+      (* every transport must survive both loss schedules *)
+      List.concat_map
+        (fun (group, rows) ->
+          List.map
+            (fun (proto, (x : Xfer.t)) ->
+              gate x.converged
+                "%s/%s did not complete the transfer (virtual %.1fs)" group
+                proto x.elapsed)
+            rows)
+        [ ("uniform", r.res_uniform); ("burst", r.res_burst) ]
+      @ [
+          (* loss must actually reach tcpcc, and fast retransmit must
+             fire: recovery without it would mean the dupack machinery
+             is dead code *)
+          gate
+            (Xfer.both (fun e -> e.fast_retransmits) ucc > 0)
+            "tcpcc recovered from 5%% uniform loss without one fast \
+             retransmit";
+          (* the headline: the same synchronized-close schedule that
+             collapses the baseline converges under tcpcc, in bounded
+             retransmissions *)
+          gate cc.s_converged "tcpcc collapse run converged only %d of %d"
+            cc.s_completed cc.s_total;
+          gate
+            (cc.s_retransmits <= collapse_tcpcc_retransmit_cap)
+            "tcpcc resent %d segments under collapse (cap %d)"
+            cc.s_retransmits collapse_tcpcc_retransmit_cap;
+          (* the baseline's collapse is pinned, not fixed: if it ever
+             converges this cheaply the schedule stopped biting and the
+             comparison is meaningless *)
+          gate
+            (not
+               (base.s_converged
+               && base.s_retransmits <= collapse_tcpcc_retransmit_cap))
+            "baseline tcp survived the collapse schedule (%d resent) — the \
+             schedule no longer collapses anything"
+            base.s_retransmits;
+        ];
+  }
 
-(* ------------------------------------------------------------------ *)
-(* guard: golden determinism with perf stripped + perf schema check     *)
 (* ------------------------------------------------------------------ *)
 (* bootstorm: the fleet powers on at once, tiered caches vs direct      *)
 (* ------------------------------------------------------------------ *)
 
-let bootstorm_checks ~smoke (r : Bootstorm_bench.result) =
-  let check (s : Bootstorm_bench.side) =
-    if s.Bootstorm_bench.b_booted <> s.Bootstorm_bench.b_total then begin
-      Printf.eprintf "error: %s storm booted %d of %d terminals\n"
-        s.Bootstorm_bench.b_mode s.Bootstorm_bench.b_booted
-        s.Bootstorm_bench.b_total;
-      exit 1
-    end;
-    if s.Bootstorm_bench.b_convergence <= 0. then begin
-      Printf.eprintf "error: %s storm converged in no virtual time\n"
-        s.Bootstorm_bench.b_mode;
-      exit 1
-    end
+let bootstorm_gates ~smoke (r : Bootstorm_bench.result) =
+  let side (s : Bootstorm_bench.side) =
+    [
+      gate (s.b_booted = s.b_total) "%s storm booted %d of %d terminals"
+        s.b_mode s.b_booted s.b_total;
+      gate (s.b_convergence > 0.) "%s storm converged in no virtual time"
+        s.b_mode;
+    ]
   in
-  check r.Bootstorm_bench.res_tiered;
-  check r.Bootstorm_bench.res_direct;
   (* the headline: the hierarchy must at least halve what reaches the
      origin (the smoke fleet is too small to demand the full 2x) *)
   let floor = if smoke then 1.2 else 2.0 in
-  if r.Bootstorm_bench.res_offload < floor then begin
-    Printf.eprintf
-      "error: origin round-trip offload %.2fx < %.1fx (tiered %d, direct \
-       %d) — the cache hierarchy regressed\n"
-      r.Bootstorm_bench.res_offload floor
-      r.Bootstorm_bench.res_tiered.Bootstorm_bench.b_origin_rts
-      r.Bootstorm_bench.res_direct.Bootstorm_bench.b_origin_rts;
-    exit 1
-  end;
-  if r.Bootstorm_bench.res_tiered.Bootstorm_bench.b_rack_coalesced = 0 then begin
-    Printf.eprintf
-      "error: the storm coalesced no same-block misses at the rack tier — \
-       single-flight is not engaging\n";
-    exit 1
-  end
+  side r.res_tiered @ side r.res_direct
+  @ [
+      gate (r.res_offload >= floor)
+        "origin round-trip offload %.2fx < %.1fx (tiered %d, direct %d) — \
+         the cache hierarchy regressed"
+        r.res_offload floor r.res_tiered.b_origin_rts
+        r.res_direct.b_origin_rts;
+      gate (r.res_tiered.b_rack_coalesced > 0)
+        "the storm coalesced no same-block misses at the rack tier — \
+         single-flight is not engaging";
+    ]
 
-let run_bootstorm () =
-  section "bootstorm - the whole fleet powers on at once, tiered vs direct";
-  let t0 = Unix.gettimeofday () in
-  let r = Bootstorm_bench.run () in
-  let t1 = Unix.gettimeofday () in
-  let r2 = Bootstorm_bench.run () in
-  let t2 = Unix.gettimeofday () in
-  print_string r.Bootstorm_bench.res_json;
-  let oc = open_out "BENCH_bootstorm.json" in
-  output_string oc
-    (inject_perf r.Bootstorm_bench.res_json r.Bootstorm_bench.res_perf);
-  close_out oc;
-  Printf.printf
-    "wrote BENCH_bootstorm.json (wall clock %.2fs + %.2fs rerun)\n%!"
-    (t1 -. t0) (t2 -. t1);
-  perf_soft_guard "bootstorm" r.Bootstorm_bench.res_perf;
-  perf_shape_check "bootstorm" r.Bootstorm_bench.res_perf;
-  bootstorm_checks ~smoke:false r;
-  if r.Bootstorm_bench.res_json <> r2.Bootstorm_bench.res_json then begin
-    Printf.eprintf
-      "error: two same-seed runs produced different BENCH_bootstorm.json — \
-       the storm broke determinism\n";
-    exit 1
-  end;
-  print_endline "same-seed rerun: byte-identical (determinism holds)"
+let bootstorm () =
+  let (r : Bootstorm_bench.result) = Bootstorm_bench.run () in
+  {
+    json = r.res_json;
+    perf = r.res_perf;
+    gates = bootstorm_gates ~smoke:false r;
+  }
 
-(* the tier-1 fleet smoke: 2 racks x 4 terminals, same guards scaled *)
-let run_bootstorm_smoke () =
-  section "bootstorm-smoke - 8-terminal fleet storm";
-  let r = Bootstorm_bench.run ~racks:2 ~terminals:4 () in
-  bootstorm_checks ~smoke:true r;
+(* the tier-1 fleet smoke: 2 racks x 4 terminals, same gates scaled *)
+let bootstorm_smoke () =
+  let (r : Bootstorm_bench.result) =
+    Bootstorm_bench.run ~racks:2 ~terminals:4 ()
+  in
+  let t = r.res_tiered in
   Printf.printf
     "fleet smoke: 8 terminals booted, offload %.2fx, rack hit ratio %.2f, \
      %d misses coalesced\n%!"
-    r.Bootstorm_bench.res_offload
-    (Bootstorm_bench.hit_ratio
-       r.Bootstorm_bench.res_tiered.Bootstorm_bench.b_rack_hits
-       r.Bootstorm_bench.res_tiered.Bootstorm_bench.b_rack_misses)
-    r.Bootstorm_bench.res_tiered.Bootstorm_bench.b_rack_coalesced
-
-(* ------------------------------------------------------------------ *)
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let run_guard () =
-  run_faults ();
-  run_swarm ();
-  run_routed ();
-  run_congestion_matrix ();
-  run_bootstorm ();
-  section "bench-guard - golden JSON (perf-stripped) + perf schema";
-  List.iter
-    (fun base ->
-      let got = read_file base and want = read_file ("bench/golden/" ^ base) in
-      if strip_perf got <> want then begin
-        Printf.eprintf
-          "error: %s (perf stripped) differs from bench/golden/%s — the \
-           deterministic document changed\n"
-          base base;
-        exit 1
-      end;
-      (* the perf member itself: values are machine-dependent, but the
-         keys of the schema must all be present *)
-      let perf = List.find_opt is_perf_line (String.split_on_char '\n' got) in
-      match perf with
-      | None ->
-        Printf.eprintf "error: %s carries no perf line\n" base;
-        exit 1
-      | Some line ->
-        let has key =
-          let klen = String.length key and n = String.length line in
-          let rec go i =
-            i + klen <= n && (String.sub line i klen = key || go (i + 1))
-          in
-          go 0
-        in
-        List.iter
-          (fun key ->
-            if not (has ("\"" ^ key ^ "\"")) then begin
-              Printf.eprintf "error: %s perf line lacks key %S\n" base key;
-              exit 1
-            end)
-          [
-            "events"; "wall_s"; "dispatch_s"; "events_per_sec";
-            "minor_words"; "minor_words_per_event"; "share_sum"; "layers";
-            "layer"; "share"; "words_per_event";
-          ];
-        Printf.printf "%s: golden match (perf stripped), perf schema ok\n%!"
-          base)
-    [
-      "BENCH_faults.json"; "BENCH_swarm.json"; "BENCH_routed.json";
-      "BENCH_congestion.json"; "BENCH_bootstorm.json";
-    ]
+    r.res_offload
+    (Bootstorm_bench.hit_ratio t.b_rack_hits t.b_rack_misses)
+    t.b_rack_coalesced;
+  { json = ""; perf = []; gates = bootstorm_gates ~smoke:true r }
 
 (* ------------------------------------------------------------------ *)
 (* profile: a tiny swarm as a smoke test for the engine profiler        *)
 (* ------------------------------------------------------------------ *)
 
-let run_profile () =
-  section "profile smoke - engine profiler on a tiny swarm";
-  let r = Swarm_bench.run ~hosts:2 ~convs_per_host:3 () in
-  perf_shape_check "profile" r.Swarm_bench.res_perf;
+let profile () =
+  let r =
+    Swarm_bench.run
+      ~topology:(Swarm_bench.Flat { hosts = 2; bandwidth = 100e6 })
+      ~convs_per_host:3 ~seed:11
+  in
   List.iter
     (fun (name, (rep : Obs.Prof.report)) ->
       Printf.printf
         "%-4s %6d events in %.3fs wall (%.0f events/s), %.1f minor \
          words/event\n"
-        name rep.Obs.Prof.r_events rep.Obs.Prof.r_wall_s
-        rep.Obs.Prof.r_events_per_sec rep.Obs.Prof.r_minor_words_per_event;
+        name rep.r_events rep.r_wall_s rep.r_events_per_sec
+        rep.r_minor_words_per_event;
       List.iter
-        (fun l ->
+        (fun (l : Obs.Prof.layer) ->
           Printf.printf "       %-10s %6d events  share %.3f  %.1f w/ev\n"
-            l.Obs.Prof.l_label l.Obs.Prof.l_events l.Obs.Prof.l_share
-            l.Obs.Prof.l_words_per_event)
-        rep.Obs.Prof.r_layers)
-    r.Swarm_bench.res_perf;
-  print_endline "profile smoke: shape ok (events/s > 0, shares sum to ~1)"
+            l.l_label l.l_events l.l_share l.l_words_per_event)
+        rep.r_layers)
+    r.res_perf;
+  print_endline "profile smoke: shape ok (events/s > 0, shares sum to ~1)";
+  { json = ""; perf = r.res_perf; gates = [] }
 
 (* ------------------------------------------------------------------ *)
 (* Wall-clock microbenchmarks (bechamel)                                *)
@@ -1115,7 +900,6 @@ let bechamel_tests () =
     ]
 
 let run_bechamel () =
-  section "microbenchmarks (wall clock, bechamel)";
   let open Bechamel in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:None () in
   let raw = Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] (bechamel_tests ()) in
@@ -1144,30 +928,99 @@ let run_bechamel () =
 
 (* ------------------------------------------------------------------ *)
 
-let sections =
+(* Adding a bench is one entry here; give it [Golden f] and check in
+   bench/golden/f to have [guard] hold its JSON byte for byte. *)
+let registry =
   [
-    ("table1", run_table1);
-    ("json", run_table1_json);
-    ("fig1", run_fig1);
-    ("codesize", run_codesize);
-    ("congestion", run_congestion);
-    ("ablation", run_ablation);
-    ("ndb", run_ndb);
-    ("csquery", run_csquery);
-    ("import", run_import);
-    ("gateway", run_gateway);
-    ("cfs", run_cfs);
-    ("faults", run_faults);
-    ("swarm", run_swarm);
-    ("routed", run_routed);
-    ("collapse", run_collapse);
-    ("congestion-matrix", run_congestion_matrix);
-    ("bootstorm", run_bootstorm);
-    ("bootstorm-smoke", run_bootstorm_smoke);
-    ("guard", run_guard);
-    ("profile", run_profile);
-    ("micro", run_bechamel);
+    printing "table1" "Table 1 - Performance (paper section 8)" run_table1;
+    entry "json" "table1 json - Table 1 with the kernel trace attached"
+      (File "BENCH_table1.json") ~rerun:false table1_json;
+    printing "fig1" "Figure 1 - the ether device tree (paper section 2.2)"
+      run_fig1;
+    printing "codesize" "IL vs TCP implementation size (paper section 3)"
+      run_codesize;
+    printing "congestion"
+      "IL vs TCP under loss (paper section 3: no blind retransmission)"
+      run_congestion;
+    printing "ablation" "ablations (design choices, see DESIGN.md)"
+      run_ablation;
+    printing "ndb" "ndb at scale (paper section 4.1: 43,000-line global file)"
+      run_ndb;
+    printing "csquery" "ndb/csquery (paper section 4.2 examples)" run_csquery;
+    printing "import" "import -a helix /net (paper section 6.1)" run_import;
+    printing "gateway"
+      "the cost of transparency: reads through mounts (section 6)" run_gateway;
+    entry "cfs" "cfs - caching the 9P stream on a 9600-baud boot line"
+      (Golden "BENCH_cfs.json") ~rerun:false cfs;
+    entry "faults"
+      "fault injection - 20% burst loss + dup + reorder (DESIGN.md)"
+      (Golden "BENCH_faults.json") ~rerun:true faults;
+    entry "swarm" "swarm - 1000 concurrent conversations, IL and TCP"
+      (Golden "BENCH_swarm.json") ~rerun:true swarm;
+    entry "routed"
+      "routed swarm - 10k conversations across a 20-subnet internet"
+      (Golden "BENCH_routed.json") ~rerun:true routed;
+    printing "collapse" "collapse - 1000 synchronized closes on a 10 Mb/s ether"
+      run_collapse;
+    entry "congestion-matrix"
+      "congestion matrix - {uniform, burst, collapse} x {il, tcp, tcpcc}"
+      (Golden "BENCH_congestion.json") ~rerun:true congestion_matrix;
+    entry "bootstorm"
+      "bootstorm - the whole fleet powers on at once, tiered vs direct"
+      (Golden "BENCH_bootstorm.json") ~rerun:true bootstorm;
+    entry "bootstorm-smoke" "bootstorm-smoke - 8-terminal fleet storm" Stdout
+      ~rerun:false bootstorm_smoke;
+    entry "profile" "profile smoke - engine profiler on a tiny swarm" Stdout
+      ~rerun:false profile;
+    printing "micro" "microbenchmarks (wall clock, bechamel)" run_bechamel;
   ]
+
+(* ------------------------------------------------------------------ *)
+(* guard: every golden bench, its document compared perf-stripped       *)
+(* ------------------------------------------------------------------ *)
+
+let run_guard () =
+  let fail fmt =
+    Printf.ksprintf
+      (fun m ->
+        Printf.eprintf "error: guard: %s\n" m;
+        exit 1)
+      fmt
+  in
+  let files = List.sort compare (Array.to_list (Sys.readdir "bench/golden")) in
+  let goldens =
+    List.filter_map
+      (fun b -> match b.output with Golden f -> Some (f, b) | _ -> None)
+      registry
+  in
+  List.iter
+    (fun f ->
+      if not (List.mem_assoc f goldens) then
+        fail "bench/golden/%s has no registered bench" f)
+    files;
+  List.iter
+    (fun (f, b) ->
+      if not (List.mem f files) then
+        fail "bench %s has no golden bench/golden/%s" b.name f)
+    goldens;
+  let docs = List.map (fun (f, b) -> (f, run_bench b)) goldens in
+  section "bench-guard - golden JSON (perf-stripped) + perf schema";
+  List.iter
+    (fun (f, doc) ->
+      let want =
+        In_channel.with_open_bin ("bench/golden/" ^ f) In_channel.input_all
+      in
+      if strip_perf doc <> want then
+        fail
+          "%s (perf stripped) differs from bench/golden/%s — the \
+           deterministic document changed"
+          f f;
+      Printf.printf "%s: golden match (perf stripped)\n%!" f)
+    docs
+
+let sections =
+  List.map (fun b -> (b.name, fun () -> ignore (run_bench b))) registry
+  @ [ ("guard", run_guard) ]
 
 let () =
   let wanted =

@@ -19,6 +19,24 @@ let dk_switch_latency = 0.4e-3
 let cyclone_msg_cost = 25e-6
 let cyclone_copy_rate = 3.23e6  (* single copy, memory to fiber *)
 
+(* a process's end of a path: every write and read is a system call
+   costing [send bytes] / [recv bytes] of [cpu] time, paid before the
+   write and after the read *)
+let syscalls cpu ~send ~recv ~write ~read =
+  {
+    c_send =
+      (fun data ->
+        Sim.Cpu.busy_wait cpu (send (String.length data));
+        write data);
+    c_recv =
+      (fun n ->
+        let data = read n in
+        Sim.Cpu.busy_wait cpu (recv (String.length data));
+        data);
+  }
+
+let flat_syscall _ = syscall_cost
+
 (* ---- pipes: both processes on one machine, one CPU ---- *)
 
 let pipes =
@@ -31,22 +49,10 @@ let pipes =
         let eng = Sim.Engine.create () in
         let cpu = Sim.Cpu.create eng in
         let a, b = Streams.Pipe.create ~qlimit:(64 * 1024) eng in
+        let copy n = syscall_cost +. (float_of_int n /. pipe_copy_rate) in
         let wrap stream =
-          {
-            c_send =
-              (fun data ->
-                Sim.Cpu.busy_wait cpu
-                  (syscall_cost
-                  +. (float_of_int (String.length data) /. pipe_copy_rate));
-                Streams.write stream data);
-            c_recv =
-              (fun n ->
-                let data = Streams.read stream n in
-                Sim.Cpu.busy_wait cpu
-                  (syscall_cost
-                  +. (float_of_int (String.length data) /. pipe_copy_rate));
-                data);
-          }
+          syscalls cpu ~send:copy ~recv:copy ~write:(Streams.write stream)
+            ~read:(Streams.read stream)
         in
         (eng, wrap a, wrap b));
   }
@@ -107,17 +113,8 @@ let il_ether =
         Sim.Engine.run ~until:5.0 eng;
         let ca = Option.get !dialer and cb = Option.get !accepted in
         let wrap cpu conv =
-          {
-            c_send =
-              (fun data ->
-                Sim.Cpu.busy_wait cpu syscall_cost;
-                Inet.Il.write conv data);
-            c_recv =
-              (fun n ->
-                let data = Inet.Il.read conv n in
-                Sim.Cpu.busy_wait cpu syscall_cost;
-                data);
-          }
+          syscalls cpu ~send:flat_syscall ~recv:flat_syscall
+            ~write:(Inet.Il.write conv) ~read:(Inet.Il.read conv)
         in
         (eng, wrap cpu_a ca, wrap cpu_b cb));
   }
@@ -161,17 +158,8 @@ let urp_datakit =
         Sim.Engine.run ~until:5.0 eng;
         let ca = Option.get !ua and cb = Option.get !ub in
         let wrap cpu conv =
-          {
-            c_send =
-              (fun data ->
-                Sim.Cpu.busy_wait cpu syscall_cost;
-                Dk.Urp.write conv data);
-            c_recv =
-              (fun n ->
-                let data = Dk.Urp.read conv n in
-                Sim.Cpu.busy_wait cpu syscall_cost;
-                data);
-          }
+          syscalls cpu ~send:flat_syscall ~recv:flat_syscall
+            ~write:(Dk.Urp.write conv) ~read:(Dk.Urp.read conv)
         in
         (eng, wrap cpu_a ca, wrap cpu_b cb));
   }
@@ -200,23 +188,12 @@ let cyclone =
                 +. (float_of_int (String.length msg) /. cyclone_copy_rate))
                 (fun () ->
                   Block.Q.force_put rq (Block.make ~delim:true msg)));
-          let conv =
-            {
-              c_send =
-                (fun data ->
-                  Sim.Cpu.busy_wait cpu
-                    (syscall_cost +. cyclone_msg_cost
-                    +. (float_of_int (String.length data)
-                       /. cyclone_copy_rate));
-                  Netsim.Fiber.send fiber data);
-              c_recv =
-                (fun n ->
-                  let data = Block.Q.read rq n in
-                  Sim.Cpu.busy_wait cpu syscall_cost;
-                  data);
-            }
-          in
-          conv
+          syscalls cpu
+            ~send:(fun n ->
+              syscall_cost +. cyclone_msg_cost
+              +. (float_of_int n /. cyclone_copy_rate))
+            ~recv:flat_syscall ~write:(Netsim.Fiber.send fiber)
+            ~read:(Block.Q.read rq)
         in
         (eng, mk fa, mk fb));
   }

@@ -84,12 +84,6 @@ module Fault = struct
     t.burst_loss <- loss;
     t.in_burst <- false
 
-  let clear_burst t =
-    t.burst_enter <- 0.;
-    t.burst_exit <- 0.;
-    t.burst_loss <- 0.;
-    t.in_burst <- false
-
   let set_dup t p =
     check_prob "set_dup" p;
     t.dup <- p
@@ -123,7 +117,6 @@ module Fault = struct
     List.exists (fun (a, b) -> now >= a && now < b) t.partitions
 
   let set_filter t fn = t.filter <- Some fn
-  let clear_filter t = t.filter <- None
 
   let active t =
     t.loss > 0. || t.burst_enter > 0. || t.in_burst || t.dup > 0.

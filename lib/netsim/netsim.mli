@@ -82,8 +82,6 @@ module Fault : sig
       [p_enter /. (p_enter +. p_exit)]; mean burst length [1/p_exit]
       frames; frames inside a burst are lost with [loss]. *)
 
-  val clear_burst : t -> unit
-
   val set_dup : t -> float -> unit
   (** Per-frame duplication probability. *)
 
@@ -111,8 +109,6 @@ module Fault : sig
   val set_filter : t -> (string -> string option) -> unit
   (** Deterministic drop hook: called with each frame payload; return
       [Some reason] to discard it.  Runs before any random draw. *)
-
-  val clear_filter : t -> unit
 
   val active : t -> bool
   (** Whether any fault is configured (fast-path guard). *)

@@ -316,7 +316,7 @@ module Prof = struct
     r_events_per_sec : float;
     r_minor_words : float;
     r_minor_words_per_event : float;
-    r_layers : layer list;  (* descending by share *)
+    r_layers : layer list;  (* ascending by label *)
   }
 
   let report p =
@@ -340,10 +340,7 @@ module Prof = struct
                  (if a.a_events = 0 then 0.
                   else a.a_words /. float_of_int a.a_events);
              })
-      |> List.sort (fun x y ->
-             match compare y.l_share x.l_share with
-             | 0 -> compare x.l_label y.l_label
-             | c -> c)
+      |> List.sort (fun x y -> compare x.l_label y.l_label)
     in
     {
       r_events = p.events;

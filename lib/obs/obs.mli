@@ -172,7 +172,9 @@ module Prof : sig
     r_events_per_sec : float;  (** events / wall_s *)
     r_minor_words : float;
     r_minor_words_per_event : float;
-    r_layers : layer list;  (** descending by share *)
+    r_layers : layer list;
+        (** ascending by label, so identical runs list the same layers
+            in the same order whatever the wall clock measured *)
   }
 
   val report : t -> report

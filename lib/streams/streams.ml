@@ -51,9 +51,7 @@ let create ?(qlimit = 64 * 1024) eng device =
 
 let engine s = s.eng
 let device_name s = s.device.dev_name
-let upq s = s.upq
 let closed s = s.is_closed
-let slot_stream sl = sl.stream
 
 let pass_up sl b =
   match sl.above with
@@ -183,7 +181,6 @@ let write ?(delim = true) s data =
 
 let write_ctl s cmd = write_block s (Block.make ~kind:Block.Ctl cmd)
 let read s n = Block.Q.read s.upq n
-let read_block s = Block.Q.get s.upq
 
 module Pipe = struct
   let create ?qlimit eng =

@@ -62,23 +62,14 @@ val write : ?delim:bool -> stream -> string -> unit
     writes are split, with only the final block delimited (when [delim],
     the default). *)
 
-val write_block : stream -> Block.t -> unit
-(** Send one block down the stream.  Control blocks beginning
-    [push]/[pop]/[hangup] are interpreted by the stream system. *)
-
 val write_ctl : stream -> string -> unit
-(** [write_ctl s cmd] = [write_block s (ctl block of cmd)] — what
-    writing the [ctl] file does. *)
+(** Send one control block down the stream — what writing the [ctl]
+    file does.  Blocks beginning [push]/[pop]/[hangup] are interpreted
+    by the stream system. *)
 
 val read : stream -> int -> string
 (** Read up to [n] bytes from the top of the stream; stops at a
     delimiter boundary; [""] at end of stream. *)
-
-val read_block : stream -> Block.t option
-(** Read one whole block (data or control); [None] at end of stream. *)
-
-val upq : stream -> Block.Q.t
-(** The top read queue (for select-like polling in device files). *)
 
 val closed : stream -> bool
 
@@ -125,8 +116,6 @@ val pass_up : slot -> Block.t -> unit
 
 val pass_down : slot -> Block.t -> unit
 (** Hand a block to the next module below (or the device). *)
-
-val slot_stream : slot -> stream
 
 module Pipe : sig
   val create : ?qlimit:int -> Sim.Engine.t -> stream * stream

@@ -165,15 +165,11 @@ let dup t fd =
   Hashtbl.replace t.fds fd' f;
   fd'
 
-let fd_path t fd = (fetch t fd).of_path
-
 let stat t path =
   let c = resolve t path in
   let d = Chan.stat c in
   Chan.clunk c;
   d
-
-let fstat t fd = Chan.stat (fetch t fd).of_chan
 
 let wstat t path d =
   let c = resolve t path in

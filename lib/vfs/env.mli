@@ -40,11 +40,8 @@ val seek : t -> fd -> int64 -> unit
 val offset : t -> fd -> int64
 val close : t -> fd -> unit
 val dup : t -> fd -> fd
-val fd_path : t -> fd -> string
-(** The path the descriptor was opened with ("fd2path"). *)
 
 val stat : t -> string -> Ninep.Fcall.dir
-val fstat : t -> fd -> Ninep.Fcall.dir
 val wstat : t -> string -> Ninep.Fcall.dir -> unit
 val remove : t -> string -> unit
 

@@ -76,14 +76,11 @@ val unmount : ?src:Chan.t -> t -> onto:Chan.t -> unit
     member(s) whose channel key matches [src] (Plan 9's two-argument
     unmount), dissolving the union when the last member goes. *)
 
-val union_of : t -> Chan.t -> Chan.t list
-(** The ordered union list at a channel ([[c]] if nothing is
-    mounted). *)
-
 type member = { m_chan : Chan.t; m_create : bool }
 
 val members : t -> Chan.t -> member list
-(** Like {!union_of} but with each member's MCREATE bit. *)
+(** The ordered union list at a channel ([[c]] if nothing is
+    mounted), with each member's MCREATE bit. *)
 
 val create_target : t -> Chan.t -> (Chan.t, string) result
 (** Where a create through [c] lands: a clone of the first union

@@ -134,7 +134,7 @@ let il config ipa ipb raddr =
       write = Inet.Il.write c;
     }
   in
-  ( (fun () -> conv (Inet.Il.listen (Inet.Il.announce b ~port:1))),
+  ( (fun () -> conv (Inet.Xport.listen (Inet.Il.announce b ~port:1))),
     (fun () -> conv (Inet.Il.connect a ~raddr ~rport:1)),
     fun () -> (of_il (Inet.Il.counters a), of_il (Inet.Il.counters b)) )
 
@@ -144,7 +144,7 @@ let tcp attach ipa ipb raddr =
   let conv c =
     { read = (fun () -> Inet.Tcp.read c 8192); write = Inet.Tcp.write c }
   in
-  ( (fun () -> conv (Inet.Tcp.listen (Inet.Tcp.announce b ~port:1))),
+  ( (fun () -> conv (Inet.Xport.listen (Inet.Tcp.announce b ~port:1))),
     (fun () -> conv (Inet.Tcp.connect a ~raddr ~rport:1)),
     fun () -> (of_tcp (Inet.Tcp.counters a), of_tcp (Inet.Tcp.counters b)) )
 

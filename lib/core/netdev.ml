@@ -64,6 +64,16 @@ type node = { mutable f : file; mutable opened : bool }
 let conn_files =
   [ "ctl"; "data"; "listen"; "local"; "remote"; "status"; "stats" ]
 
+let conn_file c = function
+  | "ctl" -> Ctl c
+  | "data" -> Data c
+  | "listen" -> Listen c
+  | "local" -> Local c
+  | "remote" -> Remote c
+  | "status" -> Status c
+  | "stats" -> Stats c
+  | name -> invalid_arg ("Netdev.conn_file: " ^ name)
+
 let file_slot = function
   | Ctl _ -> 1
   | Data _ -> 2
@@ -102,7 +112,7 @@ let file_name = function
   | Status _ -> "status"
   | Stats _ -> "stats"
 
-let stat_of dev f =
+let stat_of f =
   let dir = match f with Root | ConnDir _ -> true | _ -> false in
   {
     Ninep.Fcall.d_name = file_name f;
@@ -117,7 +127,6 @@ let stat_of dev f =
     d_type = Char.code 'I';
     d_dev = 0;
   }
-  |> fun d -> ignore dev; d
 
 (* ---- connection lifecycle ---- *)
 
@@ -184,27 +193,13 @@ let ctl_write dev c text =
 let fs eng proto =
   let dev = { eng; proto; conns = Hashtbl.create 17; next_conn = 0 } in
   let root_entries () =
-    stat_of dev Clone
+    stat_of Clone
     :: (Hashtbl.fold (fun _ c acc -> c :: acc) dev.conns []
        |> List.sort (fun a b -> compare a.id b.id)
-       |> List.map (fun c -> stat_of dev (ConnDir c)))
+       |> List.map (fun c -> stat_of (ConnDir c)))
   in
   let conn_entries c =
-    List.map
-      (fun name ->
-        let f =
-          match name with
-          | "ctl" -> Ctl c
-          | "data" -> Data c
-          | "listen" -> Listen c
-          | "local" -> Local c
-          | "remote" -> Remote c
-          | "status" -> Status c
-          | "stats" -> Stats c
-          | _ -> assert false
-        in
-        stat_of dev f)
-      conn_files
+    List.map (fun name -> stat_of (conn_file c name)) conn_files
   in
   let local_text c =
     match c.state with
@@ -255,18 +250,8 @@ let fs eng proto =
         | ConnDir _, ".." ->
           n.f <- Root;
           Ok n
-        | ( ConnDir c,
-            ("ctl" | "data" | "listen" | "local" | "remote" | "status"
-            | "stats") ) ->
-          n.f <-
-            (match name with
-            | "ctl" -> Ctl c
-            | "data" -> Data c
-            | "listen" -> Listen c
-            | "local" -> Local c
-            | "remote" -> Remote c
-            | "stats" -> Stats c
-            | _ -> Status c);
+        | ConnDir c, name when List.mem name conn_files ->
+          n.f <- conn_file c name;
           Ok n
         | (Clone | ConnDir _ | Ctl _ | Data _ | Listen _ | Local _ | Remote _
           | Status _ | Stats _), _ ->
@@ -345,7 +330,7 @@ let fs eng proto =
     ;
     fs_create = (fun _ ~name:_ ~perm:_ _ -> Error "permission denied");
     fs_remove = (fun _ -> Error "permission denied");
-    fs_stat = (fun n -> Ok (stat_of dev n.f));
+    fs_stat = (fun n -> Ok (stat_of n.f));
     fs_wstat = (fun _ _ -> Error "permission denied");
     fs_clunk =
       (fun n ->
@@ -363,19 +348,16 @@ let fs eng proto =
 
 let mount env eng proto =
   (* ensure /net/<proto> exists as a mount point *)
-  (try ignore (Vfs.Env.stat env "/net") with
-  | Vfs.Chan.Error _ ->
-    Vfs.Env.close env
-      (Vfs.Env.create env "/net"
-         ~perm:(Int32.logor Ninep.Fcall.dmdir 0o775l)
-         Ninep.Fcall.Oread));
   let dir = "/net/" ^ proto.pr_name in
-  (try ignore (Vfs.Env.stat env dir) with
-  | Vfs.Chan.Error _ ->
-    Vfs.Env.close env
-      (Vfs.Env.create env dir
-         ~perm:(Int32.logor Ninep.Fcall.dmdir 0o775l)
-         Ninep.Fcall.Oread));
+  List.iter
+    (fun d ->
+      try ignore (Vfs.Env.stat env d)
+      with Vfs.Chan.Error _ ->
+        Vfs.Env.close env
+          (Vfs.Env.create env d
+             ~perm:(Int32.logor Ninep.Fcall.dmdir 0o775l)
+             Ninep.Fcall.Oread))
+    [ "/net"; dir ];
   Vfs.Env.mount_fs env (fs eng proto) ~onto:dir Vfs.Ns.Repl
 
 (* ---- protocol adapters ---- *)
@@ -387,205 +369,151 @@ let split_addr addr =
       String.sub addr (i + 1) (String.length addr - i - 1) )
   | None -> (addr, "")
 
-let il_conv st conv =
-  {
-    cv_read = (fun ~count -> Inet.Il.read conv count);
-    cv_write =
-      (fun data ->
-        try
-          Inet.Il.write conv data;
-          Ok (String.length data)
-        with Inet.Il.Hungup -> Error "hungup");
-    cv_local =
-      (* the paper's transcripts show "address port" *)
-      (fun () ->
-        Printf.sprintf "%s %d"
-          (Inet.Ipaddr.to_string (Inet.Il.local_addr st))
-          (Inet.Il.local_port conv));
-    cv_remote =
-      (fun () ->
-        Printf.sprintf "%s %d"
-          (Inet.Ipaddr.to_string (Inet.Il.remote_addr conv))
-          (Inet.Il.remote_port conv));
-    cv_status = (fun () -> Inet.Il.status conv);
-    cv_stats = (fun () -> Inet.Il.conv_stats conv);
-    cv_close = (fun () -> Inet.Il.close conv);
-  }
+(* "135.104.9.31!17008" with sep '!', "135.104.9.31 17008" with ' ' *)
+let addr_port sep a port =
+  Printf.sprintf "%s%c%d" (Inet.Ipaddr.to_string a) sep port
 
-let il_proto st =
-  {
-    pr_name = "il";
-    pr_connect =
-      (fun addr ->
-        let host, port = split_addr addr in
-        match
-          (Inet.Ipaddr.of_string_opt host, int_of_string_opt port)
-        with
-        | Some raddr, Some rport -> (
-          try Ok (il_conv st (Inet.Il.connect st ~raddr ~rport), addr) with
-          | Inet.Il.Refused e -> Error e
-          | Inet.Il.Timeout e -> Error e
-          | Inet.Il.Port_exhausted -> Error "no free local ports")
-        | _, _ -> Error ("bad il address: " ^ addr));
-    pr_announce =
-      (fun addr ->
-        (* accept "17008" and "*!17008" *)
-        let port_str =
-          match String.rindex_opt addr '!' with
-          | Some i -> String.sub addr (i + 1) (String.length addr - i - 1)
-          | None -> addr
-        in
-        match int_of_string_opt port_str with
-        | None -> Error ("bad il announcement: " ^ addr)
-        | Some port -> (
+(* the last !-separated field of an announce address: "17008" and
+   "*!17008" both name port 17008 *)
+let announce_suffix addr =
+  match String.rindex_opt addr '!' with
+  | Some i -> String.sub addr (i + 1) (String.length addr - i - 1)
+  | None -> addr
+
+(* IL and both TCP variants: the device sees the same conversation and
+   listener shape, and only the transport module differs *)
+module type TRANSPORT = sig
+  type stack
+  type conv
+
+  val local_addr : stack -> Inet.Ipaddr.t
+  val connect :
+    ?lport:int -> stack -> raddr:Inet.Ipaddr.t -> rport:int -> conv
+
+  val announce :
+    ?backlog:int -> stack -> port:int -> conv Inet.Xport.listener
+
+  val read : conv -> int -> string
+  val write : conv -> string -> unit
+  val close : conv -> unit
+  val local_port : conv -> int
+  val remote_port : conv -> int
+  val remote_addr : conv -> Inet.Ipaddr.t
+  val status : conv -> string
+  val conv_stats : conv -> string
+end
+
+module Transport (X : TRANSPORT) = struct
+  let conv st conv =
+    {
+      cv_read = (fun ~count -> X.read conv count);
+      cv_write =
+        (fun data ->
           try
-            let lis = Inet.Il.announce st ~port in
-            Ok
-              {
-                ln_accept =
-                  (fun () ->
-                    let conv = Inet.Il.listen lis in
-                    Ok
-                      ( il_conv st conv,
-                        Printf.sprintf "%s!%d"
-                          (Inet.Ipaddr.to_string (Inet.Il.remote_addr conv))
-                          (Inet.Il.remote_port conv) ));
-                ln_set_backlog =
-                  (fun n ->
-                    Inet.Il.set_backlog lis n;
-                    Ok ());
-                ln_status =
-                  (fun () ->
-                    Printf.sprintf "%d Announced backlog %d queued %d refused %d"
-                      port (Inet.Il.backlog lis) (Inet.Il.queued lis)
-                      (Inet.Il.refused lis));
-                ln_close = (fun () -> Inet.Il.close_listener lis);
-              }
-          with Invalid_argument e -> Error e));
-  }
+            X.write conv data;
+            Ok (String.length data)
+          with Inet.Xport.Hungup -> Error "hungup");
+      cv_local =
+        (* the paper's transcripts show "address port" *)
+        (fun () -> addr_port ' ' (X.local_addr st) (X.local_port conv));
+      cv_remote =
+        (fun () -> addr_port ' ' (X.remote_addr conv) (X.remote_port conv));
+      cv_status = (fun () -> X.status conv);
+      cv_stats = (fun () -> X.conv_stats conv);
+      cv_close = (fun () -> X.close conv);
+    }
 
-let tcp_conv st conv =
-  {
-    cv_read = (fun ~count -> Inet.Tcp.read conv count);
-    cv_write =
-      (fun data ->
-        try
-          Inet.Tcp.write conv data;
-          Ok (String.length data)
-        with Inet.Tcp.Hungup -> Error "hungup");
-    cv_local =
-      (fun () ->
-        Printf.sprintf "%s %d"
-          (Inet.Ipaddr.to_string (Inet.Tcp.local_addr st))
-          (Inet.Tcp.local_port conv));
-    cv_remote =
-      (fun () ->
-        Printf.sprintf "%s %d"
-          (Inet.Ipaddr.to_string (Inet.Tcp.remote_addr conv))
-          (Inet.Tcp.remote_port conv));
-    cv_status = (fun () -> Inet.Tcp.status conv);
-    cv_stats = (fun () -> Inet.Tcp.conv_stats conv);
-    cv_close = (fun () -> Inet.Tcp.close conv);
-  }
+  (* the directory name and error strings follow the stack: "il",
+     "tcp" or "tcpcc" *)
+  let proto name st =
+    {
+      pr_name = name;
+      pr_connect =
+        (fun addr ->
+          let host, port = split_addr addr in
+          match (Inet.Ipaddr.of_string_opt host, int_of_string_opt port) with
+          | Some raddr, Some rport -> (
+            try Ok (conv st (X.connect st ~raddr ~rport), addr) with
+            | Inet.Xport.Refused e -> Error e
+            | Inet.Xport.Timeout e -> Error e
+            | Inet.Xport.Port_exhausted -> Error "no free local ports")
+          | _, _ -> Error (Printf.sprintf "bad %s address: %s" name addr));
+      pr_announce =
+        (fun addr ->
+          match int_of_string_opt (announce_suffix addr) with
+          | None -> Error (Printf.sprintf "bad %s announcement: %s" name addr)
+          | Some port -> (
+            try
+              let lis = X.announce st ~port in
+              Ok
+                {
+                  ln_accept =
+                    (fun () ->
+                      let c = Inet.Xport.listen lis in
+                      Ok
+                        ( conv st c,
+                          addr_port '!' (X.remote_addr c) (X.remote_port c) ));
+                  ln_set_backlog =
+                    (fun n ->
+                      Inet.Xport.set_backlog lis n;
+                      Ok ());
+                  ln_status =
+                    (fun () ->
+                      Printf.sprintf
+                        "%d Announced backlog %d queued %d refused %d" port
+                        (Inet.Xport.backlog lis) (Inet.Xport.queued lis)
+                        (Inet.Xport.refused lis));
+                  ln_close = (fun () -> Inet.Xport.close_listener lis);
+                }
+            with Invalid_argument e -> Error e));
+    }
+end
 
-let tcp_proto st =
-  (* serves both registered variants: the directory name and error
-     strings follow the stack ("tcp" or "tcpcc") *)
-  let name = Inet.Tcp.proto_name st in
+module Il_dev = Transport (Inet.Il)
+module Tcp_dev = Transport (Inet.Tcp)
+
+let il_proto st = Il_dev.proto "il" st
+let tcp_proto st = Tcp_dev.proto (Inet.Tcp.proto_name st) st
+
+let udp_stats st =
+  let c = Inet.Udp.counters st in
+  Printf.sprintf "dgrams_sent %d\ndgrams_rcvd %d\nno_port %d\n"
+    c.Inet.Udp.dg_sent c.Inet.Udp.dg_rcvd c.Inet.Udp.dg_dropped_noport
+
+(* a UDP conversation with one peer from local port [lport]: [recv]
+   yields the peer's next datagram, [send] transmits one *)
+let udp_peer st ~lport ~raddr ~rport ~recv ~send ~close =
   {
-    pr_name = name;
-    pr_connect =
-      (fun addr ->
-        let host, port = split_addr addr in
-        match (Inet.Ipaddr.of_string_opt host, int_of_string_opt port) with
-        | Some raddr, Some rport -> (
-          try Ok (tcp_conv st (Inet.Tcp.connect st ~raddr ~rport), addr) with
-          | Inet.Tcp.Refused e -> Error e
-          | Inet.Tcp.Timeout e -> Error e
-          | Inet.Tcp.Port_exhausted -> Error "no free local ports")
-        | _, _ -> Error (Printf.sprintf "bad %s address: %s" name addr));
-    pr_announce =
-      (fun addr ->
-        let port_str =
-          match String.rindex_opt addr '!' with
-          | Some i -> String.sub addr (i + 1) (String.length addr - i - 1)
-          | None -> addr
-        in
-        match int_of_string_opt port_str with
-        | None -> Error (Printf.sprintf "bad %s announcement: %s" name addr)
-        | Some port -> (
-          try
-            let lis = Inet.Tcp.announce st ~port in
-            Ok
-              {
-                ln_accept =
-                  (fun () ->
-                    let conv = Inet.Tcp.listen lis in
-                    Ok
-                      ( tcp_conv st conv,
-                        Printf.sprintf "%s!%d"
-                          (Inet.Ipaddr.to_string (Inet.Tcp.remote_addr conv))
-                          (Inet.Tcp.remote_port conv) ));
-                ln_set_backlog =
-                  (fun n ->
-                    Inet.Tcp.set_backlog lis n;
-                    Ok ());
-                ln_status =
-                  (fun () ->
-                    Printf.sprintf "%d Announced backlog %d queued %d refused %d"
-                      port (Inet.Tcp.backlog lis) (Inet.Tcp.queued lis)
-                      (Inet.Tcp.refused lis));
-                ln_close = (fun () -> Inet.Tcp.close_listener lis);
-              }
-          with Invalid_argument e -> Error e));
+    cv_read =
+      (fun ~count ->
+        let d = recv () in
+        if String.length d <= count then d else String.sub d 0 count);
+    cv_write = send;
+    cv_local = (fun () -> addr_port '!' (Inet.Udp.local_addr st) lport);
+    cv_remote = (fun () -> addr_port '!' raddr rport);
+    cv_status = (fun () -> Printf.sprintf "udp/%d Open" lport);
+    cv_stats = (fun () -> udp_stats st);
+    cv_close = close;
   }
 
 (* "connected" UDP: a bound socket restricted to one peer *)
 let udp_conv st conv ~raddr ~rport =
-  let pending = Buffer.create 0 in
-  ignore pending;
   let closed = ref false in
-  {
-    cv_read =
-      (fun ~count ->
-        if !closed then ""
-        else
-          let rec go () =
-            let src, sport, data = Inet.Udp.recv conv in
-            if Inet.Ipaddr.equal src raddr && sport = rport then
-              if String.length data <= count then data
-              else String.sub data 0 count
-            else go ()
-          in
-          go ());
-    cv_write =
-      (fun data ->
-        if !closed then Error "hungup"
-        else begin
-          Inet.Udp.send conv ~dst:raddr ~dport:rport data;
-          Ok (String.length data)
-        end);
-    cv_local =
-      (fun () ->
-        Printf.sprintf "%s!%d"
-          (Inet.Ipaddr.to_string (Inet.Udp.local_addr st))
-          (Inet.Udp.port conv));
-    cv_remote =
-      (fun () ->
-        Printf.sprintf "%s!%d" (Inet.Ipaddr.to_string raddr) rport);
-    cv_status =
-      (fun () -> Printf.sprintf "udp/%d Open" (Inet.Udp.port conv));
-    cv_stats =
-      (fun () ->
-        let c = Inet.Udp.counters st in
-        Printf.sprintf
-          "dgrams_sent %d\ndgrams_rcvd %d\nno_port %d\n"
-          c.Inet.Udp.dg_sent c.Inet.Udp.dg_rcvd c.Inet.Udp.dg_dropped_noport);
-    cv_close =
-      (fun () ->
-        closed := true;
-        Inet.Udp.close conv);
-  }
+  let rec recv () =
+    let src, sport, data = Inet.Udp.recv conv in
+    if Inet.Ipaddr.equal src raddr && sport = rport then data else recv ()
+  in
+  udp_peer st ~lport:(Inet.Udp.port conv) ~raddr ~rport
+    ~recv:(fun () -> if !closed then "" else recv ())
+    ~send:(fun data ->
+      if !closed then Error "hungup"
+      else begin
+        Inet.Udp.send conv ~dst:raddr ~dport:rport data;
+        Ok (String.length data)
+      end)
+    ~close:(fun () ->
+      closed := true;
+      Inet.Udp.close conv)
 
 let udp_proto st =
   {
@@ -594,18 +522,14 @@ let udp_proto st =
       (fun addr ->
         let host, port = split_addr addr in
         match (Inet.Ipaddr.of_string_opt host, int_of_string_opt port) with
-        | Some raddr, Some rport ->
-          let conv = Inet.Udp.bind st in
-          Ok (udp_conv st conv ~raddr ~rport, addr)
+        | Some raddr, Some rport -> (
+          match Inet.Udp.bind st with
+          | conv -> Ok (udp_conv st conv ~raddr ~rport, addr)
+          | exception Inet.Xport.Port_exhausted -> Error "no free local ports")
         | _, _ -> Error ("bad udp address: " ^ addr));
     pr_announce =
       (fun addr ->
-        let port_str =
-          match String.rindex_opt addr '!' with
-          | Some i -> String.sub addr (i + 1) (String.length addr - i - 1)
-          | None -> addr
-        in
-        match int_of_string_opt port_str with
+        match int_of_string_opt (announce_suffix addr) with
         | None -> Error ("bad udp announcement: " ^ addr)
         | Some port -> (
           try
@@ -642,41 +566,14 @@ let udp_proto st =
                     let src, sport, mb = Sim.Mbox.recv accept_q in
                     let key = (Inet.Ipaddr.to_int32 src, sport) in
                     let cv =
-                      {
-                        cv_read =
-                          (fun ~count ->
-                            let d = Sim.Mbox.recv mb in
-                            if String.length d <= count then d
-                            else String.sub d 0 count);
-                        cv_write =
-                          (fun data ->
-                            Inet.Udp.send conv ~dst:src ~dport:sport data;
-                            Ok (String.length data));
-                        cv_local =
-                          (fun () ->
-                            Printf.sprintf "%s!%d"
-                              (Inet.Ipaddr.to_string (Inet.Udp.local_addr st))
-                              port);
-                        cv_remote =
-                          (fun () ->
-                            Printf.sprintf "%s!%d"
-                              (Inet.Ipaddr.to_string src) sport);
-                        cv_status =
-                          (fun () -> Printf.sprintf "udp/%d Open" port);
-                        cv_stats =
-                          (fun () ->
-                            let cs = Inet.Udp.counters st in
-                            Printf.sprintf
-                              "dgrams_sent %d\ndgrams_rcvd %d\nno_port %d\n"
-                              cs.Inet.Udp.dg_sent cs.Inet.Udp.dg_rcvd
-                              cs.Inet.Udp.dg_dropped_noport);
-                        cv_close = (fun () -> Hashtbl.remove peers key);
-                      }
+                      udp_peer st ~lport:port ~raddr:src ~rport:sport
+                        ~recv:(fun () -> Sim.Mbox.recv mb)
+                        ~send:(fun data ->
+                          Inet.Udp.send conv ~dst:src ~dport:sport data;
+                          Ok (String.length data))
+                        ~close:(fun () -> Hashtbl.remove peers key)
                     in
-                    Ok
-                      ( cv,
-                        Printf.sprintf "%s!%d" (Inet.Ipaddr.to_string src)
-                          sport ))
+                    Ok (cv, addr_port '!' src sport))
                 ;
                 ln_set_backlog = (fun _ -> Error "udp has no backlog");
                 ln_status = (fun () -> "0 Announced");
@@ -733,11 +630,7 @@ let dk_proto line =
     pr_announce =
       (fun addr ->
         (* service name, possibly "*" *)
-        let service =
-          match String.rindex_opt addr '!' with
-          | Some i -> String.sub addr (i + 1) (String.length addr - i - 1)
-          | None -> addr
-        in
+        let service = announce_suffix addr in
         try
           let calls = Dk.Circuit.announce line ~service in
           Ok

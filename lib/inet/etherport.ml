@@ -12,8 +12,6 @@ and t = {
   nic : Netsim.Ether.nic;
   mutable connections : conn list;  (* ascending id *)
   mutable next_id : int;
-  inbox : Netsim.Ether.frame Sim.Mbox.t;
-  kproc : Sim.Proc.t;
 }
 
 let distribute driver frame =
@@ -33,25 +31,15 @@ let distribute driver frame =
 
 let create eng nic =
   let inbox = Sim.Mbox.create eng in
-  let rec driver =
-    lazy
-      {
-        eng;
-        nic;
-        connections = [];
-        next_id = 0;
-        inbox;
-        kproc =
-          Sim.Proc.spawn eng ~name:"etherkproc" (fun () ->
-              let rec loop () =
-                let frame = Sim.Mbox.recv inbox in
-                distribute (Lazy.force driver) frame;
-                loop ()
-              in
-              loop ());
-      }
-  in
-  let driver = Lazy.force driver in
+  let driver = { eng; nic; connections = []; next_id = 0 } in
+  ignore
+    (Sim.Proc.spawn eng ~name:"etherkproc" (fun () ->
+         let rec loop () =
+           let frame = Sim.Mbox.recv inbox in
+           distribute driver frame;
+           loop ()
+         in
+         loop ()));
   (* interrupt side: just queue and wake the kernel process *)
   Netsim.Ether.set_rx nic (fun frame -> Sim.Mbox.send inbox frame);
   driver
@@ -114,5 +102,3 @@ let stats_text t =
     s.Netsim.Ether.in_bytes s.Netsim.Ether.out_bytes s.Netsim.Ether.crc_errors
     s.Netsim.Ether.overflows
     (List.length t.connections)
-
-let shutdown t = Sim.Proc.kill t.kproc

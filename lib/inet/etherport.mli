@@ -55,6 +55,3 @@ val conns : t -> conn list
 val stats_text : t -> string
 (** The ASCII contents of the [stats] file: interface address,
     input/output counts, error statistics. *)
-
-val shutdown : t -> unit
-(** Kill the kernel process (tests). *)

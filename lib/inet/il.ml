@@ -66,12 +66,27 @@ type counters = {
   mutable rtt_samples : int;
 }
 
+let zero_counters () =
+  {
+    msgs_sent = 0;
+    msgs_rcvd = 0;
+    bytes_sent = 0;
+    bytes_rcvd = 0;
+    retransmits = 0;
+    retransmitted_bytes = 0;
+    queries_sent = 0;
+    dups_dropped = 0;
+    out_of_window = 0;
+    resets = 0;
+    rtt_samples = 0;
+  }
+
 type conv_state = SClosed | SSyncer | SSyncee | SEstablished | SClosing
 
-exception Refused of string
-exception Timeout of string
-exception Hungup
-exception Port_exhausted
+exception Refused = Xport.Refused
+exception Timeout = Xport.Timeout
+exception Hungup = Xport.Hungup
+exception Port_exhausted = Xport.Port_exhausted
 
 type conv = {
   cid : int;
@@ -104,39 +119,21 @@ type conv = {
   mutable rtt_sent_at : float;
   mutable err : string option;
   mutable close_sent : bool;
-  mutable lis : listener option;  (* half-open syncee's listener slot *)
-}
-
-and listener = {
-  lstack : stack;
-  lis_port : int;
-  accepts : conv Sim.Mbox.t;
-  mutable lis_open : bool;
-  mutable backlog : int;
-  mutable lis_pending : int;  (* half-open syncees counted in backlog *)
-  mutable refused : int;
+  mutable lis : conv Xport.listener option;  (* half-open syncee's slot *)
 }
 
 and stack = {
   eng : Sim.Engine.t;
-  ip : Ip.stack;
   cfg : config;
-  convs : (int * int * int32, conv) Hashtbl.t;  (* lport, rport, raddr *)
-  listeners : (int, listener) Hashtbl.t;
-  mutable next_port : int;
-  mutable next_cid : int;
-  mutable refusals : int;  (* backlog refusals, all listeners *)
+  tab : conv Xport.t;
   stats : counters;
 }
 
-let engine st = st.eng
 let counters st = st.stats
-let local_addr st = Ip.addr st.ip
-let conv_id c = c.cid
+let local_addr st = Xport.local_addr st.tab
 let local_port c = c.lport
 let remote_port c = c.rport
 let remote_addr c = c.raddr
-let rtt_estimate c = c.srtt
 
 let state_str = function
   | SClosed -> "Closed"
@@ -145,16 +142,12 @@ let state_str = function
   | SEstablished -> "Established"
   | SClosing -> "Closing"
 
-let state_name c = state_str c.state
-
 let status c =
   Printf.sprintf
     "il/%d %d %s sent %d rcvd %d unacked %d window %d rexmit %d rtt %.0fms"
-    c.cid c.lport (state_name c) (c.next - c.start - 1) (c.recvd - c.rstart)
-    (List.length c.unacked) c.stack.cfg.window c.cstats.retransmits
-    (c.srtt *. 1000.)
-
-let conv_counters c = c.cstats
+    c.cid c.lport (state_str c.state) (c.next - c.start - 1)
+    (c.recvd - c.rstart) (List.length c.unacked) c.stack.cfg.window
+    c.cstats.retransmits (c.srtt *. 1000.)
 
 let conv_stats c =
   let s = c.cstats in
@@ -178,47 +171,27 @@ let conv_stats c =
 (* state transitions are traced; every change funnels through here *)
 let set_state c s =
   if c.state <> s then begin
-    (match Sim.Engine.obs c.stack.eng with
-    | None -> ()
-    | Some tr ->
-      Obs.Trace.emit tr
-        (Obs.Event.Proto_state
-           {
-             proto = "il";
-             conv = c.cid;
-             from_ = state_str c.state;
-             to_ = state_str s;
-           }));
+    Xport.trace_state c.stack.tab c.cid ~from_:(state_str c.state)
+      ~to_:(state_str s);
     c.state <- s
   end
 
 (* ---- wire format ---- *)
 
-let put16 b off v =
-  Bytes.set b off (Char.chr ((v lsr 8) land 0xff));
-  Bytes.set b (off + 1) (Char.chr (v land 0xff))
-
-let put32 b off v =
-  put16 b off ((v lsr 16) land 0xffff);
-  put16 b (off + 2) (v land 0xffff)
-
-let get16 s off = (Char.code s.[off] lsl 8) lor Char.code s.[off + 1]
-let get32 s off = (get16 s off lsl 16) lor get16 s (off + 2)
-
 let encode ~ty ~sport ~dport ~id ~ack payload =
   let len = header_len + String.length payload in
   let b = Bytes.create len in
-  put16 b 0 0;
-  put16 b 2 len;
+  Xport.put16 b 0 0;
+  Xport.put16 b 2 len;
   Bytes.set b 4 (Char.chr (type_code ty));
   Bytes.set b 5 '\000';
-  put16 b 6 sport;
-  put16 b 8 dport;
-  put32 b 10 id;
-  put32 b 14 ack;
+  Xport.put16 b 6 sport;
+  Xport.put16 b 8 dport;
+  Xport.put32 b 10 id;
+  Xport.put32 b 14 ack;
   Bytes.blit_string payload 0 b header_len (String.length payload);
   let sum = Chksum.checksum (Bytes.to_string b) in
-  put16 b 0 sum;
+  Xport.put16 b 0 sum;
   Bytes.to_string b
 
 type packet = {
@@ -233,7 +206,7 @@ type packet = {
 let decode pkt =
   if String.length pkt < header_len then None
   else if not (Chksum.valid pkt) then None
-  else if get16 pkt 2 <> String.length pkt then None
+  else if Xport.get16 pkt 2 <> String.length pkt then None
   else
     match type_of_code (Char.code pkt.[4]) with
     | None -> None
@@ -241,30 +214,19 @@ let decode pkt =
       Some
         {
           p_ty = ty;
-          p_sport = get16 pkt 6;
-          p_dport = get16 pkt 8;
-          p_id = get32 pkt 10;
-          p_ack = get32 pkt 14;
+          p_sport = Xport.get16 pkt 6;
+          p_dport = Xport.get16 pkt 8;
+          p_id = Xport.get32 pkt 10;
+          p_ack = Xport.get32 pkt 14;
           p_data = String.sub pkt header_len (String.length pkt - header_len);
         }
 
 (* ---- output ---- *)
 
-let raw_output st ~dst pkt =
-  match st.cfg.cpu with
-  | None -> Ip.send st.ip ~proto:Ip.proto_il ~dst pkt
-  | Some cpu ->
-    let cost =
-      st.cfg.cost_per_msg
-      +. (st.cfg.cost_per_byte *. float_of_int (String.length pkt))
-    in
-    Sim.Cpu.run_after ~label:"il" cpu cost (fun () ->
-        Ip.send st.ip ~proto:Ip.proto_il ~dst pkt)
-
 let xmit c ty ~id ?(data = "") () =
   (* every outgoing message acknowledges what we have received *)
   if ty = Data || ty = Ack then Sim.Time.disarm c.ack_tmr;
-  raw_output c.stack ~dst:c.raddr
+  Xport.send c.stack.tab ~dst:c.raddr
     (encode ~ty ~sport:c.lport ~dport:c.rport ~id ~ack:c.recvd data)
 
 let rto c =
@@ -274,8 +236,6 @@ let rto c =
 
 (* ---- teardown ---- *)
 
-let conv_key c = (c.lport, c.rport, Ipaddr.to_int32 c.raddr)
-
 let destroy c reason =
   if c.state <> SClosed then begin
     set_state c SClosed;
@@ -283,12 +243,8 @@ let destroy c reason =
     Sim.Time.disarm c.rexmit_tmr;
     Sim.Time.disarm c.death_tmr;
     Sim.Time.disarm c.ack_tmr;
-    (match c.lis with
-    | Some lis ->
-      lis.lis_pending <- max 0 (lis.lis_pending - 1);
-      c.lis <- None
-    | None -> ());
-    Hashtbl.remove c.stack.convs (conv_key c);
+    Xport.drop c.stack.tab ~lport:c.lport ~rport:c.rport ~raddr:c.raddr c.lis;
+    c.lis <- None;
     Block.Q.force_put c.rq (Block.hangup ());
     Block.Q.close c.rq;
     Sim.Rendez.wakeup_all c.wwait;
@@ -465,13 +421,7 @@ let retransmit_missing c peer_ack =
     c.cstats.retransmits <- c.cstats.retransmits + 1;
     c.cstats.retransmitted_bytes <-
       c.cstats.retransmitted_bytes + String.length data;
-    (match Sim.Engine.obs c.stack.eng with
-    | None -> ()
-    | Some tr ->
-      Obs.Trace.emit tr
-        (Obs.Event.Retransmit
-           { proto = "il"; conv = c.cid; id; bytes = String.length data });
-      Obs.Trace.bump tr "il.retransmits" 1);
+    Xport.trace_retransmit c.stack.tab c.cid ~id ~bytes:(String.length data);
     (* Karn: a message that was retransmitted must not contribute a
        round-trip sample — it would fold the whole recovery delay into
        srtt *)
@@ -504,14 +454,10 @@ let handle_packet c (p : packet) =
       Sim.Time.disarm c.rexmit_tmr;
       c.backoff <- 0;
       arm_death c;
-      (* the accept queue inherits this conversation's backlog slot:
-         lis_pending drops as the mailbox grows, so occupancy is
-         conserved until [listen] drains it *)
       (match c.lis with
       | Some lis ->
-        lis.lis_pending <- max 0 (lis.lis_pending - 1);
         c.lis <- None;
-        if lis.lis_open then Sim.Mbox.send lis.accepts c
+        Xport.accepted lis c
       | None -> ());
       (match p.p_ty with
       | Data | Dataquery -> handle_data c p
@@ -559,33 +505,17 @@ let handle_packet c (p : packet) =
       destroy c (Some "reset"))
 
 let send_reset st ~dst ~sport ~dport ~id =
-  raw_output st ~dst (encode ~ty:Reset ~sport ~dport ~id ~ack:id "")
-
-let new_isn st =
-  1 + Random.State.int (Sim.Engine.random st.eng) 0xffffff
+  Xport.send st.tab ~dst (encode ~ty:Reset ~sport ~dport ~id ~ack:id "")
 
 let make_conv st ~lport ~rport ~raddr ~state ~start ~rstart =
   let c =
     {
-      cid = st.next_cid;
+      cid = Xport.fresh_cid st.tab;
       stack = st;
       lport;
       rport;
       raddr;
-      cstats =
-        {
-          msgs_sent = 0;
-          msgs_rcvd = 0;
-          bytes_sent = 0;
-          bytes_rcvd = 0;
-          retransmits = 0;
-          retransmitted_bytes = 0;
-          queries_sent = 0;
-          dups_dropped = 0;
-          out_of_window = 0;
-          resets = 0;
-          rtt_samples = 0;
-        };
+      cstats = zero_counters ();
       state;
       start;
       next = start + 1;
@@ -610,174 +540,68 @@ let make_conv st ~lport ~rport ~raddr ~state ~start ~rstart =
       lis = None;
     }
   in
-  st.next_cid <- st.next_cid + 1;
-  Hashtbl.replace st.convs (conv_key c) c;
+  Xport.add st.tab ~lport ~rport ~raddr c;
   Sim.Time.arm_at c.death_tmr c.death_at (fun () -> death_fire c);
-  (match Sim.Engine.obs st.eng with
-  | None -> ()
-  | Some tr ->
-    Obs.Trace.emit tr
-      (Obs.Event.Proto_state
-         { proto = "il"; conv = c.cid; from_ = "Closed"; to_ = state_str state }));
+  Xport.trace_state st.tab c.cid ~from_:"Closed" ~to_:(state_str state);
   c
 
 let input st ~src:sa ~dst:_ pkt =
   match decode pkt with
-  | None -> (
-    match Sim.Engine.obs st.eng with
-    | None -> ()
-    | Some tr ->
-      if String.length pkt >= header_len && not (Chksum.valid pkt) then begin
-        Obs.Trace.emit tr (Obs.Event.Checksum_err { proto = "il" });
-        Obs.Trace.bump tr "il.badsum" 1
-      end)
+  | None -> Xport.trace_undecodable st.tab ~header_len pkt
   | Some p -> (
-    match
-      Hashtbl.find_opt st.convs (p.p_dport, p.p_sport, Ipaddr.to_int32 sa)
-    with
+    match Xport.find st.tab ~lport:p.p_dport ~rport:p.p_sport ~raddr:sa with
     | Some c -> handle_packet c p
-    | None -> (
-      match (p.p_ty, Hashtbl.find_opt st.listeners p.p_dport) with
-      | Sync, Some lis when lis.lis_open ->
-        if lis.lis_pending + Sim.Mbox.length lis.accepts >= lis.backlog
-        then begin
-          (* backlog full: refuse rather than wedge — the caller sees a
-             clean "connection refused" and may redial *)
-          lis.refused <- lis.refused + 1;
-          st.refusals <- st.refusals + 1;
-          (match Sim.Engine.obs st.eng with
-          | None -> ()
-          | Some tr -> Obs.Trace.bump tr "il.backlog_refused" 1);
-          send_reset st ~dst:sa ~sport:p.p_dport ~dport:p.p_sport ~id:p.p_id
-        end
-        else begin
-          let c =
-            make_conv st ~lport:p.p_dport ~rport:p.p_sport ~raddr:sa
-              ~state:SSyncee ~start:(new_isn st) ~rstart:p.p_id
-          in
-          c.lis <- Some lis;
-          lis.lis_pending <- lis.lis_pending + 1;
-          arm_timer c;
-          xmit c Sync ~id:c.start ()
-        end
-      | Reset, _ -> ()
-      | (Sync | Data | Dataquery | Ack | Query | State | Close), _ ->
-        send_reset st ~dst:sa ~sport:p.p_dport ~dport:p.p_sport ~id:p.p_id))
+    | None ->
+      let admitted =
+        p.p_ty = Sync
+        && Xport.admit st.tab ~port:p.p_dport (fun lis ->
+               let c =
+                 make_conv st ~lport:p.p_dport ~rport:p.p_sport ~raddr:sa
+                   ~state:SSyncee ~start:(Xport.isn st.tab) ~rstart:p.p_id
+               in
+               c.lis <- Some lis;
+               arm_timer c;
+               xmit c Sync ~id:c.start ())
+      in
+      if (not admitted) && p.p_ty <> Reset then
+        send_reset st ~dst:sa ~sport:p.p_dport ~dport:p.p_sport ~id:p.p_id)
 
 let attach ?(config = default_config) ip =
-  let eng = Ip.engine ip in
   let st =
     {
-      eng;
-      ip;
+      eng = Ip.engine ip;
       cfg = config;
-      convs = Hashtbl.create 31;
-      listeners = Hashtbl.create 7;
-      next_port = 5000;
-      next_cid = 0;
-      refusals = 0;
-      stats =
-        {
-          msgs_sent = 0;
-          msgs_rcvd = 0;
-          bytes_sent = 0;
-          bytes_rcvd = 0;
-          retransmits = 0;
-          retransmitted_bytes = 0;
-          queries_sent = 0;
-          dups_dropped = 0;
-          out_of_window = 0;
-          resets = 0;
-          rtt_samples = 0;
-        };
+      tab =
+        Xport.create ip ~pname:"il" ~ipproto:Ip.proto_il
+          ~cpu:
+            (Option.map
+               (fun cpu -> (cpu, config.cost_per_msg, config.cost_per_byte))
+               config.cpu);
+      stats = zero_counters ();
     }
   in
-  Ip.register_proto ip ~proto:Ip.proto_il (fun ~src ~dst pkt ->
-      match config.cpu with
-      | None -> input st ~src ~dst pkt
-      | Some cpu ->
-        let cost =
-          config.cost_per_msg
-          +. (config.cost_per_byte *. float_of_int (String.length pkt))
-        in
-        Sim.Cpu.run_after ~label:"il" cpu cost (fun () -> input st ~src ~dst pkt));
+  Xport.register st.tab (fun ~src ~dst pkt -> input st ~src ~dst pkt);
   st
 
-let alloc_port st =
-  let start = st.next_port - 5000 in
-  let rec try_port i =
-    if i >= 60000 then raise Port_exhausted
-    else
-      let p = 5000 + ((start + i) mod 60000) in
-      let used =
-        Hashtbl.fold (fun (lp, _, _) _ acc -> acc || lp = p) st.convs false
-        || Hashtbl.mem st.listeners p
-      in
-      if used then try_port (i + 1) else p
-  in
-  let p = try_port 0 in
-  st.next_port <- p + 1;
-  p
-
 let connect ?lport st ~raddr ~rport =
-  let lport = match lport with Some p -> p | None -> alloc_port st in
-  let sp =
-    match Sim.Engine.obs st.eng with
-    | None -> Obs.Span.none
-    | Some tr -> Obs.Span.enter tr ~layer:"il" "il.connect"
-  in
-  let fin () =
-    match Sim.Engine.obs st.eng with
-    | None -> ()
-    | Some tr -> Obs.Span.exit tr sp
-  in
-  let c =
-    make_conv st ~lport ~rport ~raddr ~state:SSyncer ~start:(new_isn st)
-      ~rstart:0
-  in
-  c.recvd <- 0;
-  arm_timer c;
-  xmit c Sync ~id:c.start ();
-  while c.state = SSyncer do
-    Sim.Rendez.sleep c.estwait
-  done;
-  (match (c.state, c.err) with
-  | SEstablished, _ -> fin ()
-  | _, Some "connect timed out" ->
-    fin ();
-    raise (Timeout "il connect")
-  | _, Some reason ->
-    fin ();
-    raise (Refused reason)
-  | _, None ->
-    fin ();
-    raise (Refused "closed"));
-  c
+  Xport.connect st.tab lport
+    ~start:(fun lport ->
+      let c =
+        make_conv st ~lport ~rport ~raddr ~state:SSyncer
+          ~start:(Xport.isn st.tab) ~rstart:0
+      in
+      arm_timer c;
+      xmit c Sync ~id:c.start ();
+      c)
+    ~state:(fun c ->
+      match c.state with
+      | SSyncer -> Xport.Dialing c.estwait
+      | SEstablished -> Xport.Up
+      | SClosed | SSyncee | SClosing -> Xport.Down c.err)
 
-let default_backlog = 16
-
-let announce ?(backlog = default_backlog) st ~port =
-  if Hashtbl.mem st.listeners port then
-    invalid_arg (Printf.sprintf "Il.announce: port %d in use" port);
-  let lis =
-    { lstack = st; lis_port = port; accepts = Sim.Mbox.create st.eng;
-      lis_open = true; backlog = max 1 backlog; lis_pending = 0;
-      refused = 0 }
-  in
-  Hashtbl.replace st.listeners port lis;
-  lis
-
-let listen lis = Sim.Mbox.recv lis.accepts
-let set_backlog lis n = lis.backlog <- max 1 n
-let backlog lis = lis.backlog
-let queued lis = lis.lis_pending + Sim.Mbox.length lis.accepts
-let refused lis = lis.refused
-let refusals st = st.refusals
-let conv_count st = Hashtbl.length st.convs
-
-let close_listener lis =
-  lis.lis_open <- false;
-  Hashtbl.remove lis.lstack.listeners lis.lis_port
+let announce ?backlog st ~port = Xport.announce ?backlog st.tab ~port
+let refusals st = Xport.refusals st.tab
+let conv_count st = Xport.conv_count st.tab
 
 let write c data =
   (match c.state with

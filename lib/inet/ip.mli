@@ -93,9 +93,6 @@ type header = {
   h_dst : Ipaddr.t;
 }
 
-val header_len : int
-(** 20 — our headers are always option-free. *)
-
 val decode_header : string -> header option
 (** Parse and checksum-validate an IP header; [None] when malformed. *)
 

@@ -47,6 +47,21 @@ type counters = {
   mutable persist_probes : int;  (* zero-window probes sent *)
 }
 
+let zero_counters () =
+  {
+    segs_sent = 0;
+    segs_rcvd = 0;
+    bytes_sent = 0;
+    bytes_rcvd = 0;
+    retransmits = 0;
+    retransmitted_bytes = 0;
+    out_of_order_dropped = 0;
+    dups_dropped = 0;
+    resets = 0;
+    fast_retransmits = 0;
+    persist_probes = 0;
+  }
+
 type tstate =
   | TClosed
   | TSynSent
@@ -58,10 +73,10 @@ type tstate =
   | TLastAck
   | TTimeWait
 
-exception Refused of string
-exception Timeout of string
-exception Hungup
-exception Port_exhausted
+exception Refused = Xport.Refused
+exception Timeout = Xport.Timeout
+exception Hungup = Xport.Hungup
+exception Port_exhausted = Xport.Port_exhausted
 
 type conv = {
   cid : int;
@@ -109,39 +124,21 @@ type conv = {
   persist_tmr : Sim.Time.timer;
   mutable persist_backoff : int;
   mutable err : string option;
-  mutable lis : listener option;  (* half-open SynRcvd's listener slot *)
-}
-
-and listener = {
-  lstack : stack;
-  lis_port : int;
-  accepts : conv Sim.Mbox.t;
-  mutable lis_open : bool;
-  mutable backlog : int;
-  mutable lis_pending : int;  (* half-open SynRcvds counted in backlog *)
-  mutable refused : int;
+  mutable lis : conv Xport.listener option;  (* half-open SynRcvd's slot *)
 }
 
 and stack = {
   eng : Sim.Engine.t;
-  ip : Ip.stack;
   pname : string;  (* "tcp" or "tcpcc": /net dir, Obs event tag *)
-  ipproto : int;
   cc : bool;  (* congestion machinery enabled *)
   cfg : config;
-  convs : (int * int * int32, conv) Hashtbl.t;
-  listeners : (int, listener) Hashtbl.t;
-  mutable next_port : int;
-  mutable next_cid : int;
-  mutable refusals : int;  (* backlog refusals, all listeners *)
+  tab : conv Xport.t;
   stats : counters;
 }
 
-let engine st = st.eng
 let counters st = st.stats
-let local_addr st = Ip.addr st.ip
+let local_addr st = Xport.local_addr st.tab
 let proto_name st = st.pname
-let conv_id c = c.cid
 let local_port c = c.lport
 let remote_port c = c.rport
 let remote_addr c = c.raddr
@@ -157,8 +154,6 @@ let state_str = function
   | TLastAck -> "Last_ack"
   | TTimeWait -> "Time_wait"
 
-let state_name c = state_str c.state
-
 (* the sender-side recovery state, surfaced in status/stats *)
 let recovery_str c =
   if Sim.Time.armed c.persist_tmr then "Persist"
@@ -168,16 +163,14 @@ let recovery_str c =
 let status c =
   let base =
     Printf.sprintf "%s/%d %d %s una %d nxt %d rcv %d rexmit %d rtt %.0fms"
-      c.stack.pname c.cid c.lport (state_name c) c.snd_una c.snd_nxt c.rcv_nxt
-      c.cstats.retransmits (c.srtt *. 1000.)
+      c.stack.pname c.cid c.lport (state_str c.state) c.snd_una c.snd_nxt
+      c.rcv_nxt c.cstats.retransmits (c.srtt *. 1000.)
   in
   if c.stack.cc then
     base
     ^ Printf.sprintf " cwnd %d ssthresh %d %s" c.cwnd c.ssthresh
         (recovery_str c)
   else base
-
-let conv_counters c = c.cstats
 
 let conv_stats c =
   let s = c.cstats in
@@ -207,53 +200,31 @@ let conv_stats c =
   ^ "\n"
 
 let cwnd c = c.cwnd
-let ssthresh c = c.ssthresh
-let in_recovery c = c.in_recovery
 
 (* state transitions are traced; every change funnels through here *)
 let set_state c s =
   if c.state <> s then begin
-    (match Sim.Engine.obs c.stack.eng with
-    | None -> ()
-    | Some tr ->
-      Obs.Trace.emit tr
-        (Obs.Event.Proto_state
-           {
-             proto = c.stack.pname;
-             conv = c.cid;
-             from_ = state_str c.state;
-             to_ = state_str s;
-           }));
+    Xport.trace_state c.stack.tab c.cid ~from_:(state_str c.state)
+      ~to_:(state_str s);
     c.state <- s
   end
 
 (* ---- wire format ---- *)
 
-let put16 b off v =
-  Bytes.set b off (Char.chr ((v lsr 8) land 0xff));
-  Bytes.set b (off + 1) (Char.chr (v land 0xff))
-
-let put32 b off v =
-  put16 b off ((v lsr 16) land 0xffff);
-  put16 b (off + 2) (v land 0xffff)
-
-let get16 s off = (Char.code s.[off] lsl 8) lor Char.code s.[off + 1]
-let get32 s off = (get16 s off lsl 16) lor get16 s (off + 2)
-
 let encode ~sport ~dport ~seq ~ack ~flags ~window payload =
   let len = header_len + String.length payload in
   let b = Bytes.create len in
-  put16 b 0 sport;
-  put16 b 2 dport;
-  put32 b 4 seq;
-  put32 b 8 ack;
-  put16 b 12 ((5 lsl 12) lor flags);
-  put16 b 14 window;
-  put16 b 16 0;
-  put16 b 18 0;
+  Xport.put16 b 0 sport;
+  Xport.put16 b 2 dport;
+  Xport.put32 b 4 seq;
+  Xport.put32 b 8 ack;
+  Xport.put16 b 12 ((5 lsl 12) lor flags);
+  Xport.put16 b 14 window;
+  Xport.put16 b 16 0;
+  Xport.put16 b 18 0;
   Bytes.blit_string payload 0 b header_len (String.length payload);
   let sum = Chksum.checksum (Bytes.to_string b) in
-  put16 b 16 sum;
+  Xport.put16 b 16 sum;
   Bytes.to_string b
 
 type segment = {
@@ -270,33 +241,22 @@ let decode pkt =
   if String.length pkt < header_len then None
   else if not (Chksum.valid pkt) then None
   else
-    let off_flags = get16 pkt 12 in
+    let off_flags = Xport.get16 pkt 12 in
     let data_off = (off_flags lsr 12) * 4 in
     if data_off < header_len || data_off > String.length pkt then None
     else
       Some
         {
-          s_sport = get16 pkt 0;
-          s_dport = get16 pkt 2;
-          s_seq = get32 pkt 4;
-          s_ack = get32 pkt 8;
+          s_sport = Xport.get16 pkt 0;
+          s_dport = Xport.get16 pkt 2;
+          s_seq = Xport.get32 pkt 4;
+          s_ack = Xport.get32 pkt 8;
           s_flags = off_flags land 0x3f;
-          s_window = get16 pkt 14;
+          s_window = Xport.get16 pkt 14;
           s_data = String.sub pkt data_off (String.length pkt - data_off);
         }
 
 (* ---- output ---- *)
-
-let raw_output st ~dst pkt =
-  match st.cfg.cpu with
-  | None -> Ip.send st.ip ~proto:st.ipproto ~dst pkt
-  | Some cpu ->
-    let cost =
-      st.cfg.cost_per_seg
-      +. (st.cfg.cost_per_byte *. float_of_int (String.length pkt))
-    in
-    Sim.Cpu.run_after ~label:st.pname cpu cost (fun () ->
-        Ip.send st.ip ~proto:st.ipproto ~dst pkt)
 
 let recv_window c =
   let w = max 0 (c.stack.cfg.recv_window - Block.Q.bytes c.rq) in
@@ -310,7 +270,7 @@ let recv_window c =
 let xmit c ~seq ~flags data =
   c.stack.stats.segs_sent <- c.stack.stats.segs_sent + 1;
   c.cstats.segs_sent <- c.cstats.segs_sent + 1;
-  raw_output c.stack ~dst:c.raddr
+  Xport.send c.stack.tab ~dst:c.raddr
     (encode ~sport:c.lport ~dport:c.rport ~seq ~ack:c.rcv_nxt
        ~flags:(flags lor flag_ack) ~window:(recv_window c) data)
 
@@ -318,7 +278,7 @@ let xmit c ~seq ~flags data =
 let xmit_initial_syn c =
   c.stack.stats.segs_sent <- c.stack.stats.segs_sent + 1;
   c.cstats.segs_sent <- c.cstats.segs_sent + 1;
-  raw_output c.stack ~dst:c.raddr
+  Xport.send c.stack.tab ~dst:c.raddr
     (encode ~sport:c.lport ~dport:c.rport ~seq:c.iss ~ack:0 ~flags:flag_syn
        ~window:(recv_window c) "")
 
@@ -337,8 +297,6 @@ let rto c =
     let t = t *. float_of_int (1 lsl min c.backoff 6) in
     min c.stack.cfg.max_rto (max c.stack.cfg.min_rto t)
 
-let conv_key c = (c.lport, c.rport, Ipaddr.to_int32 c.raddr)
-
 let destroy c reason =
   if c.state <> TClosed then begin
     set_state c TClosed;
@@ -347,12 +305,8 @@ let destroy c reason =
     Sim.Time.disarm c.death_tmr;
     Sim.Time.disarm c.persist_tmr;
     c.ooo <- [];
-    (match c.lis with
-    | Some lis ->
-      lis.lis_pending <- max 0 (lis.lis_pending - 1);
-      c.lis <- None
-    | None -> ());
-    Hashtbl.remove c.stack.convs (conv_key c);
+    Xport.drop c.stack.tab ~lport:c.lport ~rport:c.rport ~raddr:c.raddr c.lis;
+    c.lis <- None;
     Block.Q.force_put c.rq (Block.hangup ());
     Block.Q.close c.rq;
     Sim.Rendez.wakeup_all c.wwait;
@@ -382,15 +336,6 @@ let tx_limit c =
   min c.stack.cfg.send_window wnd
 
 let fin_seq c = c.tx_base + Buffer.length c.txbuf
-
-let emit_retransmit c ~seq ~bytes =
-  match Sim.Engine.obs c.stack.eng with
-  | None -> ()
-  | Some tr ->
-    Obs.Trace.emit tr
-      (Obs.Event.Retransmit
-         { proto = c.stack.pname; conv = c.cid; id = seq; bytes });
-    Obs.Trace.bump tr (c.stack.pname ^ ".retransmits") 1
 
 let bump_counter c name n =
   match Sim.Engine.obs c.stack.eng with
@@ -559,14 +504,14 @@ and retransmit_all c =
       c.stack.stats.retransmitted_bytes + take;
     c.cstats.retransmits <- c.cstats.retransmits + 1;
     c.cstats.retransmitted_bytes <- c.cstats.retransmitted_bytes + take;
-    emit_retransmit c ~seq:!seq ~bytes:take;
+    Xport.trace_retransmit c.stack.tab c.cid ~id:!seq ~bytes:take;
     xmit c ~seq:!seq ~flags:0 data;
     seq := !seq + take
   done;
   if c.fin_queued && c.snd_nxt > fin_seq c then begin
     c.stack.stats.retransmits <- c.stack.stats.retransmits + 1;
     c.cstats.retransmits <- c.cstats.retransmits + 1;
-    emit_retransmit c ~seq:(fin_seq c) ~bytes:0;
+    Xport.trace_retransmit c.stack.tab c.cid ~id:(fin_seq c) ~bytes:0;
     xmit c ~seq:(fin_seq c) ~flags:flag_fin ""
   end;
   if outstanding > 0 || c.fin_queued then begin
@@ -588,13 +533,13 @@ and retransmit_head c =
       c.stack.stats.retransmitted_bytes + take;
     c.cstats.retransmits <- c.cstats.retransmits + 1;
     c.cstats.retransmitted_bytes <- c.cstats.retransmitted_bytes + take;
-    emit_retransmit c ~seq:c.snd_una ~bytes:take;
+    Xport.trace_retransmit c.stack.tab c.cid ~id:c.snd_una ~bytes:take;
     xmit c ~seq:c.snd_una ~flags:0 data
   end
   else if c.fin_queued && c.snd_nxt > fin_seq c then begin
     c.stack.stats.retransmits <- c.stack.stats.retransmits + 1;
     c.cstats.retransmits <- c.cstats.retransmits + 1;
-    emit_retransmit c ~seq:(fin_seq c) ~bytes:0;
+    Xport.trace_retransmit c.stack.tab c.cid ~id:(fin_seq c) ~bytes:0;
     xmit c ~seq:(fin_seq c) ~flags:flag_fin ""
   end
 
@@ -840,12 +785,10 @@ let handle_segment c (s : segment) =
         Sim.Time.disarm c.rexmit_tmr;
         c.backoff <- 0;
         arm_death c;
-        (* the accept queue inherits this conversation's backlog slot *)
         (match c.lis with
         | Some lis ->
-          lis.lis_pending <- max 0 (lis.lis_pending - 1);
           c.lis <- None;
-          if lis.lis_open then Sim.Mbox.send lis.accepts c
+          Xport.accepted lis c
         | None -> ());
         if String.length s.s_data > 0 || s.s_flags land flag_fin <> 0 then
           handle_established c s
@@ -869,34 +812,19 @@ let handle_segment c (s : segment) =
         ())
 
 let send_rst st ~dst ~sport ~dport ~seq ~ack =
-  raw_output st ~dst
+  Xport.send st.tab ~dst
     (encode ~sport ~dport ~seq ~ack ~flags:(flag_rst lor flag_ack) ~window:0
        "")
-
-let new_iss st = 1 + Random.State.int (Sim.Engine.random st.eng) 0xffffff
 
 let make_conv st ~lport ~rport ~raddr ~state ~iss =
   let c =
     {
-      cid = st.next_cid;
+      cid = Xport.fresh_cid st.tab;
       stack = st;
       lport;
       rport;
       raddr;
-      cstats =
-        {
-          segs_sent = 0;
-          segs_rcvd = 0;
-          bytes_sent = 0;
-          bytes_rcvd = 0;
-          retransmits = 0;
-          retransmitted_bytes = 0;
-          out_of_order_dropped = 0;
-          dups_dropped = 0;
-          resets = 0;
-          fast_retransmits = 0;
-          persist_probes = 0;
-        };
+      cstats = zero_counters ();
       state;
       iss;
       snd_una = iss;
@@ -931,114 +859,54 @@ let make_conv st ~lport ~rport ~raddr ~state ~iss =
       lis = None;
     }
   in
-  st.next_cid <- st.next_cid + 1;
-  Hashtbl.replace st.convs (conv_key c) c;
+  Xport.add st.tab ~lport ~rport ~raddr c;
   Sim.Time.arm_at c.death_tmr c.death_at (fun () -> death_fire c);
-  (match Sim.Engine.obs st.eng with
-  | None -> ()
-  | Some tr ->
-    Obs.Trace.emit tr
-      (Obs.Event.Proto_state
-         {
-           proto = st.pname;
-           conv = c.cid;
-           from_ = "Closed";
-           to_ = state_str state;
-         }));
+  Xport.trace_state st.tab c.cid ~from_:"Closed" ~to_:(state_str state);
   c
 
 let input st ~src:sa ~dst:_ pkt =
   match decode pkt with
-  | None -> (
-    match Sim.Engine.obs st.eng with
-    | None -> ()
-    | Some tr ->
-      if String.length pkt >= header_len && not (Chksum.valid pkt) then begin
-        Obs.Trace.emit tr (Obs.Event.Checksum_err { proto = st.pname });
-        Obs.Trace.bump tr (st.pname ^ ".badsum") 1
-      end)
+  | None -> Xport.trace_undecodable st.tab ~header_len pkt
   | Some s -> (
-    match
-      Hashtbl.find_opt st.convs (s.s_dport, s.s_sport, Ipaddr.to_int32 sa)
-    with
+    match Xport.find st.tab ~lport:s.s_dport ~rport:s.s_sport ~raddr:sa with
     | Some c -> handle_segment c s
-    | None -> (
-      match Hashtbl.find_opt st.listeners s.s_dport with
-      | Some lis
-        when lis.lis_open
-             && s.s_flags land flag_syn <> 0
-             && s.s_flags land flag_ack = 0 ->
-        if lis.lis_pending + Sim.Mbox.length lis.accepts >= lis.backlog
-        then begin
-          (* backlog full: refuse rather than wedge — the caller sees a
-             clean "connection reset" and may redial *)
-          lis.refused <- lis.refused + 1;
-          st.refusals <- st.refusals + 1;
-          (match Sim.Engine.obs st.eng with
-          | None -> ()
-          | Some tr -> Obs.Trace.bump tr (st.pname ^ ".backlog_refused") 1);
-          send_rst st ~dst:sa ~sport:s.s_dport ~dport:s.s_sport ~seq:s.s_ack
-            ~ack:(s.s_seq + String.length s.s_data)
-        end
-        else begin
-          let c =
-            make_conv st ~lport:s.s_dport ~rport:s.s_sport ~raddr:sa
-              ~state:TSynRcvd ~iss:(new_iss st)
-          in
-          c.lis <- Some lis;
-          lis.lis_pending <- lis.lis_pending + 1;
-          c.irs <- s.s_seq;
-          c.rcv_nxt <- s.s_seq + 1;
-          c.snd_wnd <- s.s_window;
-          arm_rto c;
-          xmit c ~seq:c.iss ~flags:flag_syn ""
-        end
-      | Some _ | None ->
-        if s.s_flags land flag_rst = 0 then
-          send_rst st ~dst:sa ~sport:s.s_dport ~dport:s.s_sport ~seq:s.s_ack
-            ~ack:(s.s_seq + String.length s.s_data)))
+    | None ->
+      let admitted =
+        s.s_flags land flag_syn <> 0
+        && s.s_flags land flag_ack = 0
+        && Xport.admit st.tab ~port:s.s_dport (fun lis ->
+               let c =
+                 make_conv st ~lport:s.s_dport ~rport:s.s_sport ~raddr:sa
+                   ~state:TSynRcvd ~iss:(Xport.isn st.tab)
+               in
+               c.lis <- Some lis;
+               c.irs <- s.s_seq;
+               c.rcv_nxt <- s.s_seq + 1;
+               c.snd_wnd <- s.s_window;
+               arm_rto c;
+               xmit c ~seq:c.iss ~flags:flag_syn "")
+      in
+      if (not admitted) && s.s_flags land flag_rst = 0 then
+        send_rst st ~dst:sa ~sport:s.s_dport ~dport:s.s_sport ~seq:s.s_ack
+          ~ack:(s.s_seq + String.length s.s_data))
 
 let attach_gen ~pname ~ipproto ~cc ~config ip =
-  let eng = Ip.engine ip in
   let st =
     {
-      eng;
-      ip;
+      eng = Ip.engine ip;
       pname;
-      ipproto;
       cc;
       cfg = config;
-      convs = Hashtbl.create 31;
-      listeners = Hashtbl.create 7;
-      next_port = 5000;
-      next_cid = 0;
-      refusals = 0;
-      stats =
-        {
-          segs_sent = 0;
-          segs_rcvd = 0;
-          bytes_sent = 0;
-          bytes_rcvd = 0;
-          retransmits = 0;
-          retransmitted_bytes = 0;
-          out_of_order_dropped = 0;
-          dups_dropped = 0;
-          resets = 0;
-          fast_retransmits = 0;
-          persist_probes = 0;
-        };
+      tab =
+        Xport.create ip ~pname ~ipproto
+          ~cpu:
+            (Option.map
+               (fun cpu -> (cpu, config.cost_per_seg, config.cost_per_byte))
+               config.cpu);
+      stats = zero_counters ();
     }
   in
-  Ip.register_proto ip ~proto:ipproto (fun ~src ~dst pkt ->
-      match config.cpu with
-      | None -> input st ~src ~dst pkt
-      | Some cpu ->
-        let cost =
-          config.cost_per_seg
-          +. (config.cost_per_byte *. float_of_int (String.length pkt))
-        in
-        Sim.Cpu.run_after ~label:pname cpu cost (fun () ->
-            input st ~src ~dst pkt));
+  Xport.register st.tab (fun ~src ~dst pkt -> input st ~src ~dst pkt);
   st
 
 let attach ?(config = default_config) ip =
@@ -1047,77 +915,27 @@ let attach ?(config = default_config) ip =
 let attach_cc ?(config = default_config) ip =
   attach_gen ~pname:"tcpcc" ~ipproto:Ip.proto_tcpcc ~cc:true ~config ip
 
-let alloc_port st =
-  let start = st.next_port - 5000 in
-  let rec try_port i =
-    if i >= 60000 then raise Port_exhausted
-    else
-      let p = 5000 + ((start + i) mod 60000) in
-      let used =
-        Hashtbl.fold (fun (lp, _, _) _ acc -> acc || lp = p) st.convs false
-        || Hashtbl.mem st.listeners p
-      in
-      if used then try_port (i + 1) else p
-  in
-  let p = try_port 0 in
-  st.next_port <- p + 1;
-  p
-
 let connect ?lport st ~raddr ~rport =
-  let lport = match lport with Some p -> p | None -> alloc_port st in
-  let sp =
-    match Sim.Engine.obs st.eng with
-    | None -> Obs.Span.none
-    | Some tr -> Obs.Span.enter tr ~layer:st.pname (st.pname ^ ".connect")
-  in
-  let fin () =
-    match Sim.Engine.obs st.eng with
-    | None -> ()
-    | Some tr -> Obs.Span.exit tr sp
-  in
-  let c = make_conv st ~lport ~rport ~raddr ~state:TSynSent ~iss:(new_iss st) in
-  arm_rto c;
-  xmit_initial_syn c;
-  while c.state = TSynSent do
-    Sim.Rendez.sleep c.estwait
-  done;
-  (match (c.state, c.err) with
-  | TEstablished, _ -> fin ()
-  | _, Some "connect timed out" ->
-    fin ();
-    raise (Timeout "tcp connect")
-  | _, Some reason ->
-    fin ();
-    raise (Refused reason)
-  | _, None ->
-    fin ();
-    raise (Refused "closed"));
-  c
+  Xport.connect st.tab lport
+    ~start:(fun lport ->
+      let c =
+        make_conv st ~lport ~rport ~raddr ~state:TSynSent
+          ~iss:(Xport.isn st.tab)
+      in
+      arm_rto c;
+      xmit_initial_syn c;
+      c)
+    ~state:(fun c ->
+      match c.state with
+      | TSynSent -> Xport.Dialing c.estwait
+      | TEstablished -> Xport.Up
+      | TClosed | TSynRcvd | TFinWait1 | TFinWait2 | TCloseWait | TLastAck
+      | TTimeWait ->
+        Xport.Down c.err)
 
-let default_backlog = 16
-
-let announce ?(backlog = default_backlog) st ~port =
-  if Hashtbl.mem st.listeners port then
-    invalid_arg (Printf.sprintf "Tcp.announce: port %d in use" port);
-  let lis =
-    { lstack = st; lis_port = port; accepts = Sim.Mbox.create st.eng;
-      lis_open = true; backlog = max 1 backlog; lis_pending = 0;
-      refused = 0 }
-  in
-  Hashtbl.replace st.listeners port lis;
-  lis
-
-let listen lis = Sim.Mbox.recv lis.accepts
-let set_backlog lis n = lis.backlog <- max 1 n
-let backlog lis = lis.backlog
-let queued lis = lis.lis_pending + Sim.Mbox.length lis.accepts
-let refused lis = lis.refused
-let refusals st = st.refusals
-let conv_count st = Hashtbl.length st.convs
-
-let close_listener lis =
-  lis.lis_open <- false;
-  Hashtbl.remove lis.lstack.listeners lis.lis_port
+let announce ?backlog st ~port = Xport.announce ?backlog st.tab ~port
+let refusals st = Xport.refusals st.tab
+let conv_count st = Xport.conv_count st.tab
 
 let write c data =
   (match c.state with

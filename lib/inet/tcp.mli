@@ -19,11 +19,15 @@
     timeout instead of the go-back-N burst.  The baseline proto is
     untouched so the paper's blind-retransmission comparison stands;
     [tcpcc] is the fix for the synchronized-close congestion collapse
-    the swarm bench pinned. *)
+    the swarm bench pinned.
+
+    Both variants own only the wire format and the state machine.
+    Ports, the conversation table, listeners with their backlog, and
+    the connect wait are {!Xport}'s, shared with IL: a listener returned
+    by {!announce} is driven with {!Xport.listen} and its siblings. *)
 
 type stack
 type conv
-type listener
 
 type config = {
   mss : int;  (** max segment payload (default 1460) *)
@@ -64,7 +68,6 @@ val attach_cc : ?config:config -> Ip.stack -> stack
 val proto_name : stack -> string
 (** ["tcp"] or ["tcpcc"] — the /net directory name and counter prefix. *)
 
-val engine : stack -> Sim.Engine.t
 val counters : stack -> counters
 val local_addr : stack -> Ipaddr.t
 
@@ -73,32 +76,16 @@ exception Timeout of string
 exception Hungup
 
 exception Port_exhausted
-(** Every ephemeral local port is in use. *)
+(** {!Xport}'s exceptions, re-exported; a handshake expiry is
+    [Timeout "tcp connect"] or [Timeout "tcpcc connect"]. *)
 
 val connect : ?lport:int -> stack -> raddr:Ipaddr.t -> rport:int -> conv
 (** Active open; blocks until established.
     @raise Port_exhausted if no ephemeral port is free. *)
 
-val announce : ?backlog:int -> stack -> port:int -> listener
-(** Passive open.  [backlog] (default 16) bounds calls pending accept —
-    half-open handshakes plus established calls waiting in {!listen}'s
-    queue; a SYN arriving beyond it is refused with RST, counted in
-    {!refused}. *)
-
-val listen : listener -> conv
-val close_listener : listener -> unit
-
-val set_backlog : listener -> int -> unit
-(** Adjust the accept backlog (clamped to >= 1); the ctl message
-    [backlog n] lands here. *)
-
-val backlog : listener -> int
-val queued : listener -> int
-(** Calls currently occupying backlog slots (half-open + awaiting
-    accept). *)
-
-val refused : listener -> int
-(** Calls refused because the backlog was full. *)
+val announce : ?backlog:int -> stack -> port:int -> conv Xport.listener
+(** Passive open, {!Xport.announce} on this stack: a SYN arriving
+    beyond the backlog (default 16) is refused with RST. *)
 
 val refusals : stack -> int
 (** Stack-wide backlog refusals, surviving listener teardown. *)
@@ -116,16 +103,10 @@ val read : conv -> int -> string
 val close : conv -> unit
 (** Send FIN; the reader side keeps draining until the peer closes. *)
 
-val conv_id : conv -> int
 val local_port : conv -> int
 val remote_port : conv -> int
 val remote_addr : conv -> Ipaddr.t
 val status : conv -> string
-val state_name : conv -> string
-
-val conv_counters : conv -> counters
-(** Per-conversation counters (the stack's {!counters} aggregate all
-    conversations). *)
 
 val conv_stats : conv -> string
 (** Per-conversation counters as [name value] lines — the contents of
@@ -134,9 +115,6 @@ val conv_stats : conv -> string
 
 val cwnd : conv -> int
 (** Current congestion window in bytes (meaningful on [tcpcc]). *)
-
-val ssthresh : conv -> int
-val in_recovery : conv -> bool
 
 (** {1 Wire format}
 
@@ -152,9 +130,6 @@ type segment = {
   s_window : int;
   s_data : string;
 }
-
-val header_len : int
-(** 20 bytes, option-free. *)
 
 val encode :
   sport:int ->

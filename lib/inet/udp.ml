@@ -16,8 +16,7 @@ type conv = {
 and stack = {
   eng : Sim.Engine.t;
   ip : Ip.stack;
-  ports : (int, conv) Hashtbl.t;
-  mutable next_port : int;
+  ports : conv Xport.ports;
   stats : counters;
 }
 
@@ -26,29 +25,24 @@ let local_addr st = Ip.addr st.ip
 let counters st = st.stats
 let port c = c.cport
 
-let put16 b off v =
-  Bytes.set b off (Char.chr ((v lsr 8) land 0xff));
-  Bytes.set b (off + 1) (Char.chr (v land 0xff))
-
-let get16 s off = (Char.code s.[off] lsl 8) lor Char.code s.[off + 1]
-
 let encode ~sport ~dport payload =
   let len = header_len + String.length payload in
   let b = Bytes.create len in
-  put16 b 0 sport;
-  put16 b 2 dport;
-  put16 b 4 len;
-  put16 b 6 0;
+  Xport.put16 b 0 sport;
+  Xport.put16 b 2 dport;
+  Xport.put16 b 4 len;
+  Xport.put16 b 6 0;
   Bytes.blit_string payload 0 b header_len (String.length payload);
   let sum = Chksum.checksum (Bytes.to_string b) in
-  put16 b 6 (if sum = 0 then 0xffff else sum);
+  Xport.put16 b 6 (if sum = 0 then 0xffff else sum);
   Bytes.to_string b
 
 let input st ~src ~dst:_ pkt =
   if String.length pkt >= header_len && Chksum.valid pkt then begin
-    let sport = get16 pkt 0 and dport = get16 pkt 2 and len = get16 pkt 4 in
+    let sport = Xport.get16 pkt 0 and dport = Xport.get16 pkt 2 in
+    let len = Xport.get16 pkt 4 in
     if len = String.length pkt then
-      match Hashtbl.find_opt st.ports dport with
+      match Hashtbl.find_opt st.ports.bound dport with
       | Some conv when conv.open_ ->
         st.stats.dg_rcvd <- st.stats.dg_rcvd + 1;
         Sim.Mbox.send conv.inbox
@@ -62,8 +56,7 @@ let attach ip =
     {
       eng = Ip.engine ip;
       ip;
-      ports = Hashtbl.create 17;
-      next_port = 5000;
+      ports = Xport.ports 17;
       stats = { dg_sent = 0; dg_rcvd = 0; dg_dropped_noport = 0 };
     }
   in
@@ -75,22 +68,15 @@ let bind ?port st =
   let p =
     match port with
     | Some p ->
-      if Hashtbl.mem st.ports p then
+      if Hashtbl.mem st.ports.bound p then
         invalid_arg (Printf.sprintf "Udp.bind: port %d in use" p);
       p
-    | None ->
-      let rec hunt n =
-        let p = 5000 + (n mod 60000) in
-        if Hashtbl.mem st.ports p then hunt (n + 1) else p
-      in
-      let p = hunt (st.next_port - 5000) in
-      st.next_port <- p + 1;
-      p
+    | None -> Xport.alloc_port st.ports
   in
   let conv = { stack = st; cport = p; inbox = Sim.Mbox.create st.eng;
                open_ = true }
   in
-  Hashtbl.replace st.ports p conv;
+  Hashtbl.replace st.ports.bound p conv;
   conv
 
 let send c ~dst ~dport payload =
@@ -103,4 +89,4 @@ let try_recv c = Sim.Mbox.try_recv c.inbox
 
 let close c =
   c.open_ <- false;
-  Hashtbl.remove c.stack.ports c.cport
+  Hashtbl.remove c.stack.ports.bound c.cport

@@ -11,8 +11,10 @@ val engine : stack -> Sim.Engine.t
 val local_addr : stack -> Ipaddr.t
 
 val bind : ?port:int -> stack -> conv
-(** Open an endpoint; [port] defaults to an ephemeral one.
-    @raise Invalid_argument if the port is taken. *)
+(** Open an endpoint; [port] defaults to an ephemeral one from
+    {!Xport.alloc_port}.
+    @raise Invalid_argument if the port is taken.
+    @raise Xport.Port_exhausted if no ephemeral port is free. *)
 
 val port : conv -> int
 

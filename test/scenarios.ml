@@ -123,10 +123,14 @@ let echo_scenario name proto =
 let il_echo = echo_scenario "il-echo" "il"
 let tcp_echo = echo_scenario "tcp-echo" "tcp"
 
-(* ---- announce backlog: a full accept queue refuses cleanly ---- *)
+(* ---- announce backlog: a full accept queue refuses cleanly ----
 
-let backlog =
-  raw "backlog-refusal"
+   The admission path is shared by every connection transport (Xport),
+   so the scenario runs once per transport: [connect] and [announce]
+   are the transport's own, attached to a fresh two-host segment. *)
+
+let backlog_scenario name ~attach ~connect ~announce =
+  raw name
     ~descr:"three same-time callers against a backlog of two; one refused"
     (fun eng say ->
       let seg = Netsim.Ether.create ~name:"e0" eng in
@@ -141,9 +145,9 @@ let backlog =
           ~mask:(Inet.Ipaddr.of_string "255.255.255.0")
           port
       in
-      let ila = Inet.Il.attach (mk 1 "10.0.0.1") in
-      let ilb = Inet.Il.attach (mk 2 "10.0.0.2") in
-      let lis = Inet.Il.announce ilb ~backlog:2 ~port:7 in
+      let sta = attach (mk 1 "10.0.0.1") in
+      let stb = attach (mk 2 "10.0.0.2") in
+      let lis = announce stb ~backlog:2 ~port:7 in
       let connected = ref 0 and refused = ref 0 in
       let client i delay =
         ignore
@@ -151,11 +155,11 @@ let backlog =
              (fun () ->
                Sim.Time.sleep eng delay;
                match
-                 Inet.Il.connect ila
-                   ~raddr:(Inet.Ipaddr.of_string "10.0.0.2") ~rport:7
+                 connect sta ~raddr:(Inet.Ipaddr.of_string "10.0.0.2")
+                   ~rport:7
                with
                | _ -> incr connected
-               | exception Inet.Il.Refused _ -> incr refused))
+               | exception Inet.Xport.Refused _ -> incr refused))
       in
       (* three callers land at the same instant, before anyone accepts;
          which one is refused is a schedule choice but the counts are
@@ -166,15 +170,27 @@ let backlog =
       ignore
         (Sim.Proc.spawn eng ~name:"sc:server" (fun () ->
              Sim.Time.sleep eng 5.0;
-             ignore (Inet.Il.listen lis);
-             ignore (Inet.Il.listen lis);
-             ignore (Inet.Il.listen lis)));
+             ignore (Inet.Xport.listen lis);
+             ignore (Inet.Xport.listen lis);
+             ignore (Inet.Xport.listen lis)));
       (* a late caller proves the listener was not wedged *)
       client 4 10.0;
       Sim.Time.sleep eng 30.0;
       say
         (Printf.sprintf "connected=%d refused=%d listener_refused=%d"
-           !connected !refused (Inet.Il.refused lis)))
+           !connected !refused (Inet.Xport.refused lis)))
+
+let backlog =
+  backlog_scenario "backlog-refusal"
+    ~attach:(fun ip -> Inet.Il.attach ip)
+    ~connect:(fun st ~raddr ~rport -> Inet.Il.connect st ~raddr ~rport)
+    ~announce:(fun st ~backlog ~port -> Inet.Il.announce st ~backlog ~port)
+
+let tcpcc_backlog =
+  backlog_scenario "tcpcc-backlog-refusal"
+    ~attach:(fun ip -> Inet.Tcp.attach_cc ip)
+    ~connect:(fun st ~raddr ~rport -> Inet.Tcp.connect st ~raddr ~rport)
+    ~announce:(fun st ~backlog ~port -> Inet.Tcp.announce st ~backlog ~port)
 
 (* ---- tcpcc under a synchronized close: bounded retransmission ---- *)
 
@@ -215,7 +231,7 @@ let tcpcc_collapse =
           (Sim.Proc.spawn eng
              ~name:(Printf.sprintf "sc:echo%d" i)
              (fun () ->
-               let conv = Inet.Tcp.listen lis in
+               let conv = Inet.Xport.listen lis in
                let rec go () =
                  let s = Inet.Tcp.read conv 8192 in
                  if s <> "" then begin
@@ -1139,6 +1155,7 @@ let all : E.scenario list =
     il_echo;
     tcp_echo;
     backlog;
+    tcpcc_backlog;
     tcpcc_collapse;
     ninep_mount;
     cfs_coherence;

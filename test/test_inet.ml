@@ -101,7 +101,7 @@ let test_il_connect_and_echo () =
   let _server =
     spawn eng ~name:"server" (fun () ->
         let lis = Inet.Il.announce h2.il ~port:17008 in
-        let conv = Inet.Il.listen lis in
+        let conv = Inet.Xport.listen lis in
         match Inet.Il.read_msg conv with
         | Some m -> Inet.Il.write conv ("echo:" ^ m)
         | None -> ())
@@ -126,7 +126,7 @@ let test_il_preserves_delimiters () =
   let _server =
     spawn eng (fun () ->
         let lis = Inet.Il.announce h2.il ~port:564 in
-        let conv = Inet.Il.listen lis in
+        let conv = Inet.Xport.listen lis in
         let rec go () =
           match Inet.Il.read_msg conv with
           | Some m ->
@@ -155,7 +155,7 @@ let test_il_read_does_not_cross_messages () =
   let _server =
     spawn eng (fun () ->
         let lis = Inet.Il.announce h2.il ~port:564 in
-        let conv = Inet.Il.listen lis in
+        let conv = Inet.Xport.listen lis in
         first_read := Inet.Il.read conv 100)
   in
   let _client =
@@ -174,7 +174,7 @@ let test_il_bulk_transfer () =
   let _server =
     spawn eng (fun () ->
         let lis = Inet.Il.announce h2.il ~port:17008 in
-        let conv = Inet.Il.listen lis in
+        let conv = Inet.Xport.listen lis in
         let rec go () =
           match Inet.Il.read_msg conv with
           | Some m ->
@@ -205,7 +205,7 @@ let test_il_reliable_under_loss () =
   let _server =
     spawn eng (fun () ->
         let lis = Inet.Il.announce h2.il ~port:17008 in
-        let conv = Inet.Il.listen lis in
+        let conv = Inet.Xport.listen lis in
         let rec go () =
           match Inet.Il.read_msg conv with
           | Some m ->
@@ -240,7 +240,7 @@ let test_il_query_based_recovery () =
   let _server =
     spawn eng (fun () ->
         let lis = Inet.Il.announce h2.il ~port:17008 in
-        let conv = Inet.Il.listen lis in
+        let conv = Inet.Xport.listen lis in
         let rec go () =
           match Inet.Il.read_msg conv with Some _ -> go () | None -> ()
         in
@@ -298,7 +298,7 @@ let test_il_large_message_fragments () =
   let _server =
     spawn eng (fun () ->
         let lis = Inet.Il.announce h2.il ~port:17008 in
-        let conv = Inet.Il.listen lis in
+        let conv = Inet.Xport.listen lis in
         match Inet.Il.read_msg conv with
         | Some m -> got := m
         | None -> ())
@@ -319,7 +319,7 @@ let test_il_window_blocks_writer () =
   let _server =
     spawn eng (fun () ->
         let lis = Inet.Il.announce h2.il ~port:17008 in
-        let conv = Inet.Il.listen lis in
+        let conv = Inet.Xport.listen lis in
         let rec go () =
           match Inet.Il.read_msg conv with Some _ -> go () | None -> ()
         in
@@ -357,7 +357,7 @@ let prop_il_exactly_once =
       let _server =
         spawn eng (fun () ->
             let lis = Inet.Il.announce h2.il ~port:7777 in
-            let conv = Inet.Il.listen lis in
+            let conv = Inet.Xport.listen lis in
             let rec go () =
               match Inet.Il.read_msg conv with
               | Some m ->
@@ -398,7 +398,7 @@ let prop_tcp_stream_intact =
       let _server =
         spawn eng (fun () ->
             let lis = Inet.Tcp.announce h2.tcp ~port:7777 in
-            let conv = Inet.Tcp.listen lis in
+            let conv = Inet.Xport.listen lis in
             let rec go () =
               let s = Inet.Tcp.read conv 8192 in
               if s <> "" then begin
@@ -433,7 +433,7 @@ let test_tcp_connect_and_echo () =
   let _server =
     spawn eng (fun () ->
         let lis = Inet.Tcp.announce h2.tcp ~port:513 in
-        let conv = Inet.Tcp.listen lis in
+        let conv = Inet.Xport.listen lis in
         let m = Inet.Tcp.read conv 100 in
         Inet.Tcp.write conv ("echo:" ^ m))
   in
@@ -456,7 +456,7 @@ let test_tcp_does_not_preserve_delimiters () =
   let _server =
     spawn eng (fun () ->
         let lis = Inet.Tcp.announce h2.tcp ~port:564 in
-        let conv = Inet.Tcp.listen lis in
+        let conv = Inet.Xport.listen lis in
         (* wait for both writes to land, then read once *)
         Sim.Time.sleep eng 1.0;
         first_read := Inet.Tcp.read conv 100)
@@ -479,7 +479,7 @@ let test_tcp_bulk_transfer () =
   let _server =
     spawn eng (fun () ->
         let lis = Inet.Tcp.announce h2.tcp ~port:513 in
-        let conv = Inet.Tcp.listen lis in
+        let conv = Inet.Xport.listen lis in
         let rec go () =
           let s = Inet.Tcp.read conv 8192 in
           if s <> "" then begin
@@ -512,7 +512,7 @@ let test_tcp_reliable_under_loss () =
   let _server =
     spawn eng (fun () ->
         let lis = Inet.Tcp.announce h2.tcp ~port:513 in
-        let conv = Inet.Tcp.listen lis in
+        let conv = Inet.Xport.listen lis in
         let rec go () =
           let s = Inet.Tcp.read conv 8192 in
           if s <> "" then begin
@@ -547,7 +547,7 @@ let test_tcp_fin_gives_eof () =
   let _server =
     spawn eng (fun () ->
         let lis = Inet.Tcp.announce h2.tcp ~port:513 in
-        let conv = Inet.Tcp.listen lis in
+        let conv = Inet.Xport.listen lis in
         let rec go () =
           let s = Inet.Tcp.read conv 100 in
           reads := s :: !reads;
@@ -612,7 +612,7 @@ let test_il_out_of_window_discard () =
   let _server =
     spawn eng (fun () ->
         let lis = Inet.Il.announce ilb ~port:1 in
-        let conv = Inet.Il.listen lis in
+        let conv = Inet.Xport.listen lis in
         let rec go () =
           match Inet.Il.read_msg conv with
           | Some m ->
@@ -660,7 +660,7 @@ let make_cc_world ?(seed = 9) ?cfg1 ?cfg2 () =
 let cc_sink eng cc ~port total =
   spawn eng (fun () ->
       let lis = Inet.Tcp.announce cc ~port in
-      let conv = Inet.Tcp.listen lis in
+      let conv = Inet.Xport.listen lis in
       let rec go () =
         let s = Inet.Tcp.read conv 8192 in
         if s <> "" then begin
@@ -688,7 +688,7 @@ let test_tcpcc_connect_and_echo () =
   let _server =
     spawn eng (fun () ->
         let lis = Inet.Tcp.announce cc2 ~port:513 in
-        let conv = Inet.Tcp.listen lis in
+        let conv = Inet.Xport.listen lis in
         let m = Inet.Tcp.read conv 100 in
         Inet.Tcp.write conv ("echo:" ^ m))
   in
@@ -703,6 +703,22 @@ let test_tcpcc_connect_and_echo () =
   in
   Sim.Engine.run ~until:30.0 eng;
   Alcotest.(check string) "echoed" "echo:hello tcpcc" !got
+
+(* the shared connect wait names the stack's own protocol: a tcpcc
+   handshake that never completes times out as "tcpcc connect" *)
+let test_tcpcc_connect_timeout () =
+  let eng, seg, cc1, _cc2 = make_cc_world () in
+  Netsim.Ether.set_loss seg 1.0;
+  let outcome = ref "" in
+  let _client =
+    spawn eng (fun () ->
+        try
+          ignore (Inet.Tcp.connect cc1 ~raddr:(ip "135.104.9.32") ~rport:513);
+          outcome := "connected"
+        with Inet.Tcp.Timeout e -> outcome := e)
+  in
+  Sim.Engine.run ~until:120.0 eng;
+  Alcotest.(check string) "timeout names tcpcc" "tcpcc connect" !outcome
 
 let test_tcpcc_slow_start_opens_cwnd () =
   (* a clean bulk transfer: the congestion window must grow past its
@@ -792,7 +808,7 @@ let test_tcpcc_zero_window_persist () =
   let _server =
     spawn eng (fun () ->
         let lis = Inet.Tcp.announce cc2 ~port:513 in
-        let conv = Inet.Tcp.listen lis in
+        let conv = Inet.Xport.listen lis in
         (* stall long enough for the sender to fill the 4 KiB buffer
            and sit against a zero window across several probes *)
         Sim.Time.sleep eng 5.0;
@@ -819,7 +835,7 @@ let test_tcp_half_close () =
   let _server =
     spawn eng (fun () ->
         let lis = Inet.Tcp.announce h2.tcp ~port:513 in
-        let conv = Inet.Tcp.listen lis in
+        let conv = Inet.Xport.listen lis in
         (* read until the client's FIN *)
         let rec drain () = if Inet.Tcp.read conv 4096 <> "" then drain () in
         drain ();
@@ -854,7 +870,7 @@ let test_tcp_write_after_close_raises () =
   let _server =
     spawn eng (fun () ->
         let lis = Inet.Tcp.announce h2.tcp ~port:513 in
-        ignore (Inet.Tcp.listen lis))
+        ignore (Inet.Xport.listen lis))
   in
   let _client =
     spawn eng (fun () ->
@@ -874,7 +890,7 @@ let test_il_write_after_close_raises () =
   let _server =
     spawn eng (fun () ->
         let lis = Inet.Il.announce h2.il ~port:1 in
-        ignore (Inet.Il.listen lis))
+        ignore (Inet.Xport.listen lis))
   in
   let _client =
     spawn eng (fun () ->
@@ -1009,7 +1025,7 @@ let test_routing_il_across_subnets () =
   let _server =
     spawn eng (fun () ->
         let lis = Inet.Il.announce il_b ~port:17008 in
-        let conv = Inet.Il.listen lis in
+        let conv = Inet.Xport.listen lis in
         match Inet.Il.read_msg conv with
         | Some m -> Inet.Il.write conv ("echo:" ^ m)
         | None -> ())
@@ -1039,7 +1055,7 @@ let test_routing_large_message_fragments () =
   let _server =
     spawn eng (fun () ->
         let lis = Inet.Il.announce il_b ~port:1 in
-        let conv = Inet.Il.listen lis in
+        let conv = Inet.Xport.listen lis in
         match Inet.Il.read_msg conv with
         | Some m -> got := m
         | None -> ())
@@ -1132,6 +1148,8 @@ let () =
         [
           Alcotest.test_case "connect and echo" `Quick
             test_tcpcc_connect_and_echo;
+          Alcotest.test_case "connect timeout names tcpcc" `Quick
+            test_tcpcc_connect_timeout;
           Alcotest.test_case "slow start opens cwnd" `Quick
             test_tcpcc_slow_start_opens_cwnd;
           Alcotest.test_case "fast retransmit" `Quick

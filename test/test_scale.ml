@@ -40,7 +40,7 @@ let test_il_idle_is_eventless () =
   ignore
     (Sim.Proc.spawn eng ~name:"rx" (fun () ->
          let lis = Inet.Il.announce ilb ~port:1 in
-         let conv = Inet.Il.listen lis in
+         let conv = Inet.Xport.listen lis in
          got := Inet.Il.read_msg conv));
   ignore
     (Sim.Proc.spawn eng ~name:"tx" (fun () ->
@@ -71,7 +71,7 @@ let test_tcp_idle_is_eventless () =
   ignore
     (Sim.Proc.spawn eng ~name:"rx" (fun () ->
          let lis = Inet.Tcp.announce tcpb ~port:1 in
-         let conv = Inet.Tcp.listen lis in
+         let conv = Inet.Xport.listen lis in
          got := Inet.Tcp.read conv 4));
   ignore
     (Sim.Proc.spawn eng ~name:"tx" (fun () ->
@@ -92,34 +92,82 @@ let test_tcp_idle_is_eventless () =
   Alcotest.(check int) "zero timer arms while idle" arms (counter tr "timer.arm");
   Alcotest.(check int) "event heap is empty" 0 (Sim.Engine.pending eng)
 
+(* ---- the shared call bookkeeping, driven through each transport ----
+
+   IL, baseline TCP and tcpcc share one conversation table (Xport):
+   ports, listeners and backlog admission.  Each transport is driven
+   through the same few calls, so the exhaustion and backlog tests
+   below run under all three. *)
+
+type listener = { accept : unit -> unit; refused : unit -> int }
+
+type transport_stack = {
+  connect : raddr:Inet.Ipaddr.t -> rport:int -> unit;
+  announce : ?backlog:int -> int -> listener;
+  refusals : unit -> int;
+}
+
+let listener lis =
+  {
+    accept = (fun () -> ignore (Inet.Xport.listen lis));
+    refused = (fun () -> Inet.Xport.refused lis);
+  }
+
+let il ip =
+  let st = Inet.Il.attach ip in
+  {
+    connect = (fun ~raddr ~rport -> ignore (Inet.Il.connect st ~raddr ~rport));
+    announce =
+      (fun ?backlog port -> listener (Inet.Il.announce ?backlog st ~port));
+    refusals = (fun () -> Inet.Il.refusals st);
+  }
+
+let tcp_with attach ip =
+  let st = attach ip in
+  {
+    connect = (fun ~raddr ~rport -> ignore (Inet.Tcp.connect st ~raddr ~rport));
+    announce =
+      (fun ?backlog port -> listener (Inet.Tcp.announce ?backlog st ~port));
+    refusals = (fun () -> Inet.Tcp.refusals st);
+  }
+
+let transports =
+  [
+    ("IL", il);
+    ("TCP", tcp_with (fun ip -> Inet.Tcp.attach ip));
+    ("tcpcc", tcp_with (fun ip -> Inet.Tcp.attach_cc ip));
+  ]
+
 (* ---- ephemeral port exhaustion is a clean error ---- *)
 
 (* occupy every ephemeral port with listeners, so the next active open
    has nowhere to bind: the stack must answer Port_exhausted, not spin
    or pick a duplicate *)
-let test_il_port_exhaustion () =
+let test_port_exhaustion attach () =
   let _eng, _tr, ipa, _ipb = ether_pair () in
-  let ila = Inet.Il.attach ipa in
+  let a = attach ipa in
   for p = 5000 to 64999 do
-    ignore (Inet.Il.announce ila ~port:p)
+    ignore (a.announce p)
   done;
-  match
-    Inet.Il.connect ila ~raddr:(Inet.Ipaddr.of_string "10.0.0.2") ~rport:1
-  with
+  match a.connect ~raddr:(Inet.Ipaddr.of_string "10.0.0.2") ~rport:1 with
   | _ -> Alcotest.fail "connect should not find a port"
-  | exception Inet.Il.Port_exhausted -> ()
+  | exception Inet.Xport.Port_exhausted -> ()
 
-let test_tcp_port_exhaustion () =
+(* UDP binds its ephemeral ports through the same allocator: once
+   5000-64999 are all bound, an ephemeral bind raises instead of
+   hunting forever, and the protocol device reports the cause *)
+let test_udp_port_exhaustion () =
   let _eng, _tr, ipa, _ipb = ether_pair () in
-  let tcpa = Inet.Tcp.attach ipa in
+  let udp = Inet.Udp.attach ipa in
   for p = 5000 to 64999 do
-    ignore (Inet.Tcp.announce tcpa ~port:p)
+    ignore (Inet.Udp.bind ~port:p udp)
   done;
-  match
-    Inet.Tcp.connect tcpa ~raddr:(Inet.Ipaddr.of_string "10.0.0.2") ~rport:1
-  with
-  | _ -> Alcotest.fail "connect should not find a port"
-  | exception Inet.Tcp.Port_exhausted -> ()
+  (match Inet.Udp.bind udp with
+  | _ -> Alcotest.fail "bind should not find a port"
+  | exception Inet.Xport.Port_exhausted -> ());
+  match (P9net.Netdev.udp_proto udp).P9net.Netdev.pr_connect "10.0.0.2!53" with
+  | Ok _ -> Alcotest.fail "connect should not find a port"
+  | Error e -> Alcotest.(check string) "device error" "no free local ports" e
 
 (* the same condition through the protocol device and dial library:
    the caller sees a Dial_error naming the cause, not a hang *)
@@ -145,23 +193,64 @@ let test_dial_port_exhaustion_is_clean () =
            let rec find i = i + n <= m && (String.sub e i n = sub || find (i + 1)) in
            find 0))
 
-(* ---- a full backlog refuses without wedging the listener ---- *)
-
-let test_il_backlog_refusal () =
+(* the order ports are handed out in is part of the simulation's
+   determinism: the allocator walks up from 5000 round robin, skips a
+   port held by a listener or a live conversation, reuses a port once
+   its conversation is gone, and wraps from 64999 to 5000 *)
+let test_port_allocation_order () =
   let eng, _tr, ipa, ipb = ether_pair () in
   let ila = Inet.Il.attach ipa and ilb = Inet.Il.attach ipb in
-  let lis = Inet.Il.announce ilb ~backlog:2 ~port:7 in
+  let server = Inet.Il.announce ilb ~port:7 in
+  ignore
+    (Sim.Proc.spawn eng ~name:"server" (fun () ->
+         while true do
+           ignore (Inet.Xport.listen server)
+         done));
+  let ports = ref [] in
+  ignore
+    (Sim.Proc.spawn eng ~name:"client" (fun () ->
+         let dial ?lport () =
+           let c =
+             Inet.Il.connect ?lport ila ~raddr:(Inet.Ipaddr.of_string "10.0.0.2")
+               ~rport:7
+           in
+           ports := Inet.Il.local_port c :: !ports;
+           c
+         in
+         let lis5000 = Inet.Il.announce ila ~port:5000 in
+         let c5001 = dial () in
+         ignore (dial ());
+         ignore (dial ~lport:5003 ());
+         ignore (dial ());
+         for p = 5005 to 64998 do
+           ignore (Inet.Il.announce ila ~port:p)
+         done;
+         ignore (dial ());
+         Inet.Il.close c5001;
+         Sim.Time.sleep eng 1.0;
+         ignore (dial ());
+         Inet.Xport.close_listener lis5000;
+         ignore (dial ())));
+  Sim.Engine.run ~until:60.0 eng;
+  Alcotest.(check (list int))
+    "ports in allocation order"
+    [ 5001; 5002; 5003; 5004; 64999; 5001; 5000 ]
+    (List.rev !ports)
+
+(* ---- a full backlog refuses without wedging the listener ---- *)
+
+let test_backlog_refusal attach () =
+  let eng, _tr, ipa, ipb = ether_pair () in
+  let a = attach ipa and b = attach ipb in
+  let lis = b.announce ~backlog:2 7 in
   let refused = ref 0 and connected = ref 0 in
   let client delay =
     ignore
       (Sim.Proc.spawn eng ~name:"client" (fun () ->
            Sim.Time.sleep eng delay;
-           match
-             Inet.Il.connect ila ~raddr:(Inet.Ipaddr.of_string "10.0.0.2")
-               ~rport:7
-           with
+           match a.connect ~raddr:(Inet.Ipaddr.of_string "10.0.0.2") ~rport:7 with
            | _ -> incr connected
-           | exception Inet.Il.Refused _ -> incr refused))
+           | exception Inet.Xport.Refused _ -> incr refused))
   in
   (* three callers against a backlog of two, before anyone accepts *)
   client 0.0;
@@ -172,49 +261,16 @@ let test_il_backlog_refusal () =
   ignore
     (Sim.Proc.spawn eng ~name:"server" (fun () ->
          Sim.Time.sleep eng 1.0;
-         ignore (Inet.Il.listen lis);
-         ignore (Inet.Il.listen lis);
-         ignore (Inet.Il.listen lis)));
+         lis.accept ();
+         lis.accept ();
+         lis.accept ()));
   client 2.0;
   Sim.Engine.run ~until:60.0 eng;
   Alcotest.(check int) "two early callers connected, plus the late one" 3
     !connected;
   Alcotest.(check int) "one caller refused" 1 !refused;
-  Alcotest.(check int) "listener counted the refusal" 1 (Inet.Il.refused lis);
-  Alcotest.(check int) "stack-wide refusals" 1 (Inet.Il.refusals ilb)
-
-let test_tcp_backlog_refusal () =
-  let eng, _tr, ipa, ipb = ether_pair () in
-  let tcpa = Inet.Tcp.attach ipa and tcpb = Inet.Tcp.attach ipb in
-  let lis = Inet.Tcp.announce tcpb ~backlog:2 ~port:7 in
-  let refused = ref 0 and connected = ref 0 in
-  let client delay =
-    ignore
-      (Sim.Proc.spawn eng ~name:"client" (fun () ->
-           Sim.Time.sleep eng delay;
-           match
-             Inet.Tcp.connect tcpa ~raddr:(Inet.Ipaddr.of_string "10.0.0.2")
-               ~rport:7
-           with
-           | _ -> incr connected
-           | exception Inet.Tcp.Refused _ -> incr refused))
-  in
-  client 0.0;
-  client 0.01;
-  client 0.02;
-  ignore
-    (Sim.Proc.spawn eng ~name:"server" (fun () ->
-         Sim.Time.sleep eng 1.0;
-         ignore (Inet.Tcp.listen lis);
-         ignore (Inet.Tcp.listen lis);
-         ignore (Inet.Tcp.listen lis)));
-  client 2.0;
-  Sim.Engine.run ~until:60.0 eng;
-  Alcotest.(check int) "two early callers connected, plus the late one" 3
-    !connected;
-  Alcotest.(check int) "one caller refused" 1 !refused;
-  Alcotest.(check int) "listener counted the refusal" 1 (Inet.Tcp.refused lis);
-  Alcotest.(check int) "stack-wide refusals" 1 (Inet.Tcp.refusals tcpb)
+  Alcotest.(check int) "listener counted the refusal" 1 (lis.refused ());
+  Alcotest.(check int) "stack-wide refusals" 1 (b.refusals ())
 
 (* ---- the backlog through the ctl file and status text ---- *)
 
@@ -287,22 +343,29 @@ let () =
             test_tcp_idle_is_eventless;
         ] );
       ( "port-exhaustion",
-        [
-          Alcotest.test_case "IL: clean Port_exhausted" `Quick
-            test_il_port_exhaustion;
-          Alcotest.test_case "TCP: clean Port_exhausted" `Quick
-            test_tcp_port_exhaustion;
-          Alcotest.test_case "dial reports no free local ports" `Quick
-            test_dial_port_exhaustion_is_clean;
-        ] );
+        List.map
+          (fun (name, attach) ->
+            Alcotest.test_case (name ^ ": clean Port_exhausted") `Quick
+              (test_port_exhaustion attach))
+          transports
+        @ [
+            Alcotest.test_case "UDP: clean Port_exhausted" `Quick
+              test_udp_port_exhaustion;
+            Alcotest.test_case "dial reports no free local ports" `Quick
+              test_dial_port_exhaustion_is_clean;
+            Alcotest.test_case "allocation order" `Quick
+              test_port_allocation_order;
+          ] );
       ( "backlog",
-        [
-          Alcotest.test_case "IL: full backlog refuses, listener survives"
-            `Quick test_il_backlog_refusal;
-          Alcotest.test_case "TCP: full backlog refuses, listener survives"
-            `Quick test_tcp_backlog_refusal;
-          Alcotest.test_case "backlog ctl message and status text" `Quick
-            test_backlog_ctl_and_status;
-        ] );
+        List.map
+          (fun (name, attach) ->
+            Alcotest.test_case
+              (name ^ ": full backlog refuses, listener survives")
+              `Quick (test_backlog_refusal attach))
+          transports
+        @ [
+            Alcotest.test_case "backlog ctl message and status text" `Quick
+              test_backlog_ctl_and_status;
+          ] );
       ("cs-cache", [ Alcotest.test_case "answer cache" `Quick test_cs_cache ]);
     ]

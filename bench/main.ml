@@ -456,10 +456,113 @@ let perf_gates perfs =
           perf_schema)
     perfs
 
+(* The hard per-layer allocation budget.  Minor-heap words per event
+   are exact for a fixed binary, so unlike wall clock they can fail a
+   run: bench/golden/perf_budget.json caps words_per_event for each
+   (bench, report, layer) as
+     {"bench": {"report": {"layer": words_per_event, ...}, ...}, ...}
+   and a golden bench must stay within [budget_slack] of every cap. *)
+let budget_file = "bench/golden/perf_budget.json"
+let budget_slack = 1.05
+
+type json = Num of float | Obj of (string * json) list
+
+(* just enough JSON for the budget file: objects, string keys, numbers *)
+let parse_json s =
+  let n = String.length s and i = ref 0 in
+  let fail () = failwith (Printf.sprintf "bad JSON at byte %d" !i) in
+  let rec ws () =
+    if !i < n && String.contains " \t\r\n" s.[!i] then begin
+      incr i;
+      ws ()
+    end
+  in
+  let eat c = ws (); if !i < n && s.[!i] = c then incr i else fail () in
+  let key () =
+    eat '"';
+    let j = try String.index_from s !i '"' with Not_found -> fail () in
+    let k = String.sub s !i (j - !i) in
+    i := j + 1;
+    eat ':';
+    k
+  in
+  let rec value () =
+    ws ();
+    if !i < n && s.[!i] = '{' then begin
+      incr i;
+      Obj (members [])
+    end
+    else begin
+      let j = ref !i in
+      while !j < n && String.contains "+-.0123456789eE" s.[!j] do
+        incr j
+      done;
+      match float_of_string_opt (String.sub s !i (!j - !i)) with
+      | Some f -> i := !j; Num f
+      | None -> fail ()
+    end
+  and members acc =
+    let k = key () in
+    let acc = (k, value ()) :: acc in
+    ws ();
+    if !i < n && s.[!i] = ',' then (incr i; members acc)
+    else (eat '}'; List.rev acc)
+  in
+  let v = value () in
+  ws ();
+  if !i <> n then fail ();
+  v
+
+(* the budget as (bench, report, layer, words_per_event cap) rows *)
+let budget =
+  lazy
+    (let bad why =
+       Printf.eprintf "error: %s: %s\n" budget_file why;
+       exit 1
+     in
+     let rec rows path = function
+       | Num cap -> [ (List.rev path, cap) ]
+       | Obj m -> List.concat_map (fun (k, v) -> rows (k :: path) v) m
+     in
+     match parse_json (In_channel.with_open_bin budget_file In_channel.input_all) with
+     | exception (Sys_error m | Failure m) -> bad m
+     | doc ->
+       List.map
+         (function
+           | [ bench; report; layer ], cap -> (bench, report, layer, cap)
+           | path, _ ->
+             bad (String.concat "/" path ^ " is not bench/report/layer"))
+         (rows [] doc))
+
+let budget_gates bench perfs =
+  List.filter_map
+    (fun (b, report, layer, cap) ->
+      if b <> bench then None
+      else
+        let measured =
+          Option.bind (List.assoc_opt report perfs) (fun (rep : Obs.Prof.report) ->
+              List.find_opt (fun (l : Obs.Prof.layer) -> l.l_label = layer)
+                rep.r_layers)
+        in
+        Some
+          (match measured with
+          | None ->
+            gate false "%s budgets %s/%s, but no report has that layer"
+              budget_file report layer
+          | Some l ->
+            gate
+              (l.l_words_per_event <= cap *. budget_slack)
+              "perf %s: %s at %.1f words/event, over its budget of %.1f \
+               (+%.0f%%) in %s"
+              report layer l.l_words_per_event cap
+              ((budget_slack -. 1.) *. 100.)
+              budget_file))
+    (Lazy.force budget)
+
 (* Run one section and its same-seed rerun, write its document with
    the perf line, then hold it to every gate: its own, the perf shape,
-   and determinism.  Exits 1 on the first failure; returns the document
-   as written. *)
+   the allocation budget (golden benches), and determinism.  Exits 1 on
+   the first failure; returns the document as written. *)
 let run_bench b =
   section b.title;
   let t0 = Unix.gettimeofday () in
@@ -494,6 +597,7 @@ let run_bench b =
         exit 1
       end)
     (written @ perf_gates r.perf @ r.gates
+    @ (match b.output with Golden _ -> budget_gates b.name r.perf | _ -> [])
     @ [
         gate
           (layer_sets r.perf = layer_sets r2.perf)
@@ -987,12 +1091,21 @@ let run_guard () =
         exit 1)
       fmt
   in
-  let files = List.sort compare (Array.to_list (Sys.readdir "bench/golden")) in
+  let files =
+    Sys.readdir "bench/golden" |> Array.to_list
+    |> List.filter (fun f -> f <> Filename.basename budget_file)
+    |> List.sort compare
+  in
   let goldens =
     List.filter_map
       (fun b -> match b.output with Golden f -> Some (f, b) | _ -> None)
       registry
   in
+  List.iter
+    (fun (bench, _, _, _) ->
+      if not (List.exists (fun (_, b) -> b.name = bench) goldens) then
+        fail "%s budgets %s, which is no golden bench" budget_file bench)
+    (Lazy.force budget);
   List.iter
     (fun f ->
       if not (List.mem_assoc f goldens) then

@@ -129,13 +129,18 @@ type proc_state =
   | Suspended of (exn -> unit)  (* abort callback *)
   | Dead
 
+(* The live-process table, keyed by pid: spawn and exit are O(1), so a
+   world's per-event cost does not grow with the processes it keeps
+   alive. *)
+module Pids = Hashtbl.Make (Int)
+
 type engine = {
   mutable now : float;
   heap : Heap.t;
   mutable serial : int;
   sched : Sched.policy;
   rng : Random.State.t;
-  mutable procs : proc list;  (* live processes, newest first *)
+  procs : proc Pids.t;  (* live processes by pid *)
   mutable crashes : (string * exn) list;
   mutable next_pid : int;
   mutable events : int;  (* live events executed since creation *)
@@ -194,7 +199,7 @@ module Engine = struct
       serial = 0;
       sched;
       rng = Random.State.make [| seed; 0x9b4e |];
-      procs = [];
+      procs = Pids.create 64;
       crashes = [];
       next_pid = 1;
       events = 0;
@@ -269,10 +274,14 @@ module Engine = struct
       raise e
 
   let stalled t =
-    let blocked p =
-      match p.state with Suspended _ | Ready -> true | Running | Dead -> false
-    in
-    List.rev_map (fun p -> p.pname) (List.filter blocked t.procs)
+    Pids.fold
+      (fun _ p acc ->
+        match p.state with
+        | Suspended _ | Ready -> p :: acc
+        | Running | Dead -> acc)
+      t.procs []
+    |> List.sort (fun p q -> Int.compare p.pid q.pid)
+    |> List.map (fun p -> p.pname)
 end
 
 module Proc = struct
@@ -316,7 +325,7 @@ module Proc = struct
 
   let finish p =
     p.state <- Dead;
-    p.eng.procs <- List.filter (fun q -> q.pid <> p.pid) p.eng.procs;
+    Pids.remove p.eng.procs p.pid;
     let ws = p.exit_waiters in
     p.exit_waiters <- [];
     List.iter (fun w -> w ()) ws
@@ -331,7 +340,7 @@ module Proc = struct
       { pid; pname; pclass = proc_class pname; eng; state = Ready;
         exit_waiters = [] }
     in
-    eng.procs <- p :: eng.procs;
+    Pids.replace eng.procs pid p;
     emit_phase p Obs.Event.Spawn;
     let handler : (unit, unit) Effect.Deep.handler =
       {
@@ -545,57 +554,58 @@ module Cpu = struct
 end
 
 module Rendez = struct
+  (* A FIFO of waiters, oldest at the front, with lazy invalidation: a
+     sleeper that settles some other way (killed, aborted) only marks its
+     entry dead, and [wakeup] skips dead entries as it pops.  [live]
+     counts the valid entries. *)
   type waiter = { mutable valid : bool; fire : unit -> unit }
 
-  type t = { reng : engine; mutable queue : waiter list (* oldest last *) }
+  type t = { reng : engine; queue : waiter Queue.t; mutable live : int }
 
-  let create eng = { reng = eng; queue = [] }
+  let create eng = { reng = eng; queue = Queue.create (); live = 0 }
+
+  (* drop the dead entries once they outnumber the live ones, so a
+     rendezvous that only ever sees aborts stays bounded; each dead
+     entry is dropped once, which keeps the cost O(1) amortized *)
+  let compact r =
+    if Queue.length r.queue > 2 * r.live then
+      for _ = 1 to Queue.length r.queue do
+        let w = Queue.pop r.queue in
+        if w.valid then Queue.push w r.queue
+      done
 
   let sleep r =
     Proc.suspend ~register:(fun ~resume ~abort:_ ->
         let w = { valid = true; fire = (fun () -> resume ()) } in
-        r.queue <- w :: r.queue;
-        (* on settle, drop the waiter so an aborted sleeper doesn't
+        Queue.push w r.queue;
+        r.live <- r.live + 1;
+        (* on settle, retire the waiter so an aborted sleeper doesn't
            swallow a later wakeup *)
         fun () ->
           if w.valid then begin
             w.valid <- false;
-            r.queue <- List.filter (fun x -> x != w) r.queue
+            r.live <- r.live - 1;
+            compact r
           end)
 
-  let rec pop_oldest = function
-    | [] -> (None, [])
-    | [ w ] -> (Some w, [])
-    | w :: rest ->
-      let found, rest' = pop_oldest rest in
-      (found, w :: rest')
-
-  let wakeup r =
-    let rec go () =
-      match pop_oldest r.queue with
-      | None, _ -> ()
-      | Some w, rest ->
-        r.queue <- rest;
-        if w.valid then begin
-          w.valid <- false;
-          w.fire ()
-        end
-        else go ()
-    in
-    go ()
+  let rec wakeup r =
+    if not (Queue.is_empty r.queue) then begin
+      let w = Queue.take r.queue in
+      if w.valid then begin
+        w.valid <- false;
+        r.live <- r.live - 1;
+        w.fire ()
+      end
+      else wakeup r
+    end
 
   let wakeup_all r =
-    let ws = List.rev r.queue in
-    r.queue <- [];
-    List.iter
-      (fun w ->
-        if w.valid then begin
-          w.valid <- false;
-          w.fire ()
-        end)
-      ws
+    while r.live > 0 do
+      wakeup r
+    done;
+    Queue.clear r.queue
 
-  let waiters r = List.length r.queue
+  let waiters r = r.live
 end
 
 module Mbox = struct

@@ -104,9 +104,10 @@ module Engine : sig
   val prof : t -> Obs.Prof.t option
 
   val stalled : t -> string list
-  (** Names of processes that are neither dead nor scheduled — i.e.
-      blocked forever if the event queue is empty.  Useful to diagnose
-      deadlock in tests. *)
+  (** Names of processes that are neither dead nor running — i.e.
+      blocked forever if the event queue is empty — in spawn order
+      (ascending pid, oldest first).  Useful to diagnose deadlock in
+      tests. *)
 
   val pending : t -> int
   (** Number of queued events. *)
@@ -237,9 +238,10 @@ end
 module Rendez : sig
   type t
   (** A rendezvous point, after the Plan 9 kernel's [sleep]/[wakeup]:
-      a queue of blocked processes.  There is no spurious wakeup, but
-      callers should still re-check their predicate in a loop when
-      several sleepers compete for the same condition. *)
+      a FIFO queue of blocked processes.  There is no spurious wakeup,
+      but callers should still re-check their predicate in a loop when
+      several sleepers compete for the same condition.  Every operation
+      is O(1) amortized, however many processes sleep on it. *)
 
   val create : Engine.t -> t
 
@@ -247,11 +249,14 @@ module Rendez : sig
   (** Block the calling process until a wakeup. *)
 
   val wakeup : t -> unit
-  (** Wake the longest-sleeping process, if any. *)
+  (** Wake the longest-sleeping process still asleep, if any; sleepers
+      that were killed or aborted meanwhile are skipped. *)
 
   val wakeup_all : t -> unit
 
   val waiters : t -> int
+  (** Processes asleep here now; killed or aborted sleepers do not
+      count. *)
 end
 
 module Mbox : sig

@@ -132,6 +132,173 @@ let test_rendez_wakeup_empty () =
   Sim.Rendez.wakeup_all r;
   Alcotest.(check int) "no waiters" 0 (Sim.Rendez.waiters r)
 
+(* [names] sleep on [r] in order; [woke] records who wakes, in order *)
+let sleepers eng r names =
+  let woke = ref [] in
+  let procs =
+    List.map
+      (fun name ->
+        Sim.Proc.spawn eng ~name (fun () ->
+            Sim.Rendez.sleep r;
+            woke := name :: !woke))
+      names
+  in
+  Sim.Engine.run eng;
+  (procs, woke)
+
+let test_rendez_wakeup_skips_killed () =
+  let eng = Sim.Engine.create () in
+  let r = Sim.Rendez.create eng in
+  let procs, woke =
+    sleepers eng r [ "a"; "b"; "c"; "d"; "e"; "f"; "g"; "h" ]
+  in
+  (* the oldest two and one from the middle go; with five still asleep
+     their entries stay queued *)
+  List.iter (fun i -> Sim.Proc.kill (List.nth procs i)) [ 0; 1; 3 ];
+  Sim.Engine.run eng;
+  Sim.Rendez.wakeup r;
+  Sim.Engine.run eng;
+  Alcotest.(check (list string)) "oldest live sleeper first" [ "c" ]
+    (List.rev !woke);
+  Sim.Rendez.wakeup r;
+  Sim.Engine.run eng;
+  Alcotest.(check (list string)) "then the next live one" [ "c"; "e" ]
+    (List.rev !woke);
+  Alcotest.(check int) "three left" 3 (Sim.Rendez.waiters r);
+  for _ = 1 to 4 do
+    Sim.Rendez.wakeup r
+  done;
+  Sim.Engine.run eng;
+  Alcotest.(check (list string)) "the rest in order, then nobody"
+    [ "c"; "e"; "f"; "g"; "h" ] (List.rev !woke);
+  Alcotest.(check int) "none left" 0 (Sim.Rendez.waiters r)
+
+let test_rendez_waiters_after_aborts () =
+  let eng = Sim.Engine.create () in
+  let r = Sim.Rendez.create eng in
+  let procs, woke = sleepers eng r [ "a"; "b"; "c"; "d"; "e" ] in
+  Alcotest.(check int) "all asleep" 5 (Sim.Rendez.waiters r);
+  Sim.Proc.kill (List.nth procs 2);
+  Sim.Proc.kill (List.nth procs 4);
+  Sim.Engine.run eng;
+  Alcotest.(check int) "killed sleepers do not count" 3
+    (Sim.Rendez.waiters r);
+  (* dead entries now outnumber live ones: the queue is compacted, and
+     must keep its order *)
+  Sim.Proc.kill (List.nth procs 0);
+  Sim.Engine.run eng;
+  Alcotest.(check int) "after the third kill" 2 (Sim.Rendez.waiters r);
+  Sim.Rendez.wakeup r;
+  Alcotest.(check int) "one woken" 1 (Sim.Rendez.waiters r);
+  Sim.Rendez.wakeup_all r;
+  Sim.Engine.run eng;
+  Alcotest.(check int) "all woken" 0 (Sim.Rendez.waiters r);
+  Alcotest.(check (list string)) "live ones, oldest first" [ "b"; "d" ]
+    (List.rev !woke)
+
+let test_rendez_fifo_100k () =
+  (* one wakeup per event over a deep queue: FIFO, and no recursion that
+     grows with the queue *)
+  let n = 100_000 in
+  let eng = Sim.Engine.create () in
+  let r = Sim.Rendez.create eng in
+  let order = Array.make n (-1) and next = ref 0 in
+  for i = 0 to n - 1 do
+    ignore
+      (Sim.Proc.spawn eng (fun () ->
+           Sim.Rendez.sleep r;
+           order.(!next) <- i;
+           incr next))
+  done;
+  Sim.Engine.run eng;
+  Alcotest.(check int) "all asleep" n (Sim.Rendez.waiters r);
+  for _ = 1 to n do
+    Sim.Rendez.wakeup r;
+    Sim.Engine.run eng
+  done;
+  Alcotest.(check int) "all woken" n !next;
+  Alcotest.(check bool) "in sleep order" true
+    (Array.for_all2 ( = ) order (Array.init n Fun.id))
+
+let test_rendez_abort_only_bounded () =
+  (* a rendezvous that only ever sees its sleepers killed: the count
+     stays at 0 and the queue does not keep the dead entries *)
+  let eng = Sim.Engine.create () in
+  let r = Sim.Rendez.create eng in
+  let cycle () =
+    let p = Sim.Proc.spawn eng (fun () -> Sim.Rendez.sleep r) in
+    Sim.Engine.run eng;
+    Sim.Proc.kill p;
+    Sim.Engine.run eng
+  in
+  cycle ();
+  let size0 = Obj.reachable_words (Obj.repr r) in
+  for _ = 1 to 10_000 do
+    cycle ()
+  done;
+  Alcotest.(check int) "no waiters" 0 (Sim.Rendez.waiters r);
+  let grown = Obj.reachable_words (Obj.repr r) - size0 in
+  if grown > 100 then
+    Alcotest.failf "10k aborted sleeps grew the rendezvous by %d words" grown
+
+(* ---- complexity guard: no per-operation cost grows with live
+   processes.  Minor-heap words are exact for a fixed binary, so this
+   is a deterministic budget, not a timing test. ---- *)
+
+let guard_cycles = 1_000
+
+(* words per operation of [guard_cycles] runs of [op] in an engine
+   holding [n] processes parked on one rendezvous.  A parked process
+   sleeps again whenever it is woken, so [n] never changes. *)
+let words_per_op n op =
+  let eng = Sim.Engine.create () in
+  let crowd = Sim.Rendez.create eng and other = Sim.Rendez.create eng in
+  for _ = 1 to n do
+    ignore
+      (Sim.Proc.spawn eng ~name:"parked" (fun () ->
+           while true do
+             Sim.Rendez.sleep crowd
+           done))
+  done;
+  Sim.Engine.run eng;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to guard_cycles do
+    op eng ~crowd ~other
+  done;
+  let w = (Gc.minor_words () -. w0) /. float_of_int guard_cycles in
+  Alcotest.(check int) "parked processes all still asleep" n
+    (Sim.Rendez.waiters crowd);
+  w
+
+let sleep_kill eng r =
+  let p = Sim.Proc.spawn eng ~name:"victim" (fun () -> Sim.Rendez.sleep r) in
+  Sim.Engine.run eng;
+  Sim.Proc.kill p;
+  Sim.Engine.run eng
+
+let flat_in_live_procs what op () =
+  let n = 1_000 in
+  let w1 = words_per_op n op and w3 = words_per_op (3 * n) op in
+  if w3 > 1.1 *. w1 then
+    Alcotest.failf
+      "%s: %.1f words/op with %d live processes, %.1f with %d — the cost \
+       grows with live processes"
+      what w1 n w3 (3 * n)
+
+let complexity_guards =
+  [
+    ( "spawn/exit",
+      fun eng ~crowd:_ ~other:_ ->
+        ignore (Sim.Proc.spawn eng ~name:"brief" ignore);
+        Sim.Engine.run eng );
+    ("kill, other rendez", fun eng ~crowd:_ ~other -> sleep_kill eng other);
+    ("kill, crowded rendez", fun eng ~crowd ~other:_ -> sleep_kill eng crowd);
+    ( "wakeup, crowded rendez",
+      fun eng ~crowd ~other:_ ->
+        Sim.Rendez.wakeup crowd;
+        Sim.Engine.run eng );
+  ]
+
 let test_mbox () =
   let eng = Sim.Engine.create () in
   let mb = Sim.Mbox.create eng in
@@ -211,6 +378,38 @@ let test_lost_wakeup_diagnosis () =
   Alcotest.(check (list string)) "hung readers named"
     [ "reader-a"; "reader-b" ]
     (List.sort compare (Sim.Engine.stalled eng))
+
+let test_stalled_spawn_order () =
+  (* the live-process table is hashed by pid; [stalled] must still name
+     the blocked processes oldest first, whatever order the others exit
+     in *)
+  let eng = Sim.Engine.create () in
+  let r = Sim.Rendez.create eng in
+  let spawn i =
+    let name = Printf.sprintf "p%d" i in
+    if i mod 3 = 0 then
+      (* exits in reverse spawn order: the last one spawned goes first *)
+      ignore
+        (Sim.Proc.spawn eng ~name (fun () ->
+             Sim.Time.sleep eng (float_of_int (300 - i))))
+    else ignore (Sim.Proc.spawn eng ~name (fun () -> Sim.Rendez.sleep r))
+  in
+  for i = 0 to 199 do
+    spawn i
+  done;
+  (* more arrive after some of the early ones have gone *)
+  Sim.Engine.at eng 150. (fun () ->
+      for i = 200 to 299 do
+        spawn i
+      done);
+  Sim.Engine.run eng;
+  let expect =
+    List.init 300 Fun.id
+    |> List.filter (fun i -> i mod 3 <> 0)
+    |> List.map (Printf.sprintf "p%d")
+  in
+  Alcotest.(check (list string)) "blocked, in spawn order" expect
+    (Sim.Engine.stalled eng)
 
 let test_determinism () =
   let trace () =
@@ -391,6 +590,8 @@ let () =
           Alcotest.test_case "fifo at same time" `Quick test_fifo_same_time;
           Alcotest.test_case "run until" `Quick test_run_until;
           Alcotest.test_case "stalled" `Quick test_stalled_reports_blocked;
+          Alcotest.test_case "stalled in spawn order" `Quick
+            test_stalled_spawn_order;
           Alcotest.test_case "lost wakeup diagnosis" `Quick
             test_lost_wakeup_diagnosis;
           Alcotest.test_case "determinism" `Quick test_determinism;
@@ -409,9 +610,23 @@ let () =
           Alcotest.test_case "rendez" `Quick test_rendez;
           Alcotest.test_case "rendez empty wakeup" `Quick
             test_rendez_wakeup_empty;
+          Alcotest.test_case "rendez wakeup skips killed" `Quick
+            test_rendez_wakeup_skips_killed;
+          Alcotest.test_case "rendez waiters after aborts" `Quick
+            test_rendez_waiters_after_aborts;
+          Alcotest.test_case "rendez fifo over 100k sleepers" `Quick
+            test_rendez_fifo_100k;
+          Alcotest.test_case "rendez abort-only stays bounded" `Quick
+            test_rendez_abort_only_bounded;
           Alcotest.test_case "mbox" `Quick test_mbox;
           Alcotest.test_case "ticker" `Quick test_ticker;
         ] );
+      ( "cost",
+        List.map
+          (fun (what, op) ->
+            Alcotest.test_case what `Quick
+              (flat_in_live_procs what op))
+          complexity_guards );
       ( "cpu",
         [
           Alcotest.test_case "serializes" `Quick test_cpu_serializes;

@@ -1,12 +1,24 @@
+(* 16 bits per step; an odd final byte is the high half of a last word *)
 let ones_sum ?(init = 0) s off len =
   let sum = ref init in
   let i = ref off in
   let stop = off + len in
   while !i + 1 < stop do
-    sum := !sum + (Char.code s.[!i] lsl 8) + Char.code s.[!i + 1];
+    sum := !sum + String.get_uint16_be s !i;
     i := !i + 2
   done;
   if !i < stop then sum := !sum + (Char.code s.[!i] lsl 8);
+  !sum
+
+let ones_sum_bytes ?(init = 0) b off len =
+  let sum = ref init in
+  let i = ref off in
+  let stop = off + len in
+  while !i + 1 < stop do
+    sum := !sum + Bytes.get_uint16_be b !i;
+    i := !i + 2
+  done;
+  if !i < stop then sum := !sum + (Char.code (Bytes.get b !i) lsl 8);
   !sum
 
 let finish sum =
@@ -17,6 +29,7 @@ let finish sum =
   lnot !s land 0xffff
 
 let checksum s = finish (ones_sum s 0 (String.length s))
+let checksum_bytes b = finish (ones_sum_bytes b 0 (Bytes.length b))
 
 let valid s =
   let folded =

@@ -6,12 +6,19 @@ val ones_sum : ?init:int -> string -> int -> int -> int
     [len] bytes of [s] starting at [off] into [init] (default 0).  An
     odd final byte is padded with zero. *)
 
+val ones_sum_bytes : ?init:int -> bytes -> int -> int -> int
+(** {!ones_sum} over a buffer still being filled, so a packet builder
+    can checksum its one buffer in place. *)
+
 val finish : int -> int
 (** Fold carries and complement: the value to store in a checksum
     field. *)
 
 val checksum : string -> int
 (** [finish (ones_sum s 0 (length s))]. *)
+
+val checksum_bytes : bytes -> int
+(** [finish (ones_sum_bytes b 0 (length b))]. *)
 
 val valid : string -> bool
 (** A buffer whose checksum field was filled with {!checksum} sums to

@@ -101,7 +101,7 @@ type conv = {
   mutable rstart : int;  (* peer's initial sequence number *)
   mutable recvd : int;  (* highest in-order id received *)
   mutable unacked : (int * string) list;  (* ascending ids awaiting ack *)
-  mutable oow : (int * string) list;  (* out-of-order buffer, ascending *)
+  mutable oow : (int * bytes) list;  (* out-of-order buffer, ascending *)
   rq : Block.Q.t;
   wwait : Sim.Rendez.t;  (* writers waiting for window space *)
   estwait : Sim.Rendez.t;  (* connect/close waiters *)
@@ -190,9 +190,9 @@ let encode ~ty ~sport ~dport ~id ~ack payload =
   Xport.put32 b 10 id;
   Xport.put32 b 14 ack;
   Bytes.blit_string payload 0 b header_len (String.length payload);
-  let sum = Chksum.checksum (Bytes.to_string b) in
-  Xport.put16 b 0 sum;
-  Bytes.to_string b
+  Xport.put16 b 0 (Chksum.checksum_bytes b);
+  (* b was allocated above and is never written again *)
+  Bytes.unsafe_to_string b
 
 type packet = {
   p_ty : msg_type;
@@ -200,7 +200,7 @@ type packet = {
   p_dport : int;
   p_id : int;
   p_ack : int;
-  p_data : string;
+  p_data : bytes;  (* a fresh copy, handed to the receive queue's block *)
 }
 
 let decode pkt =
@@ -211,6 +211,8 @@ let decode pkt =
     match type_of_code (Char.code pkt.[4]) with
     | None -> None
     | Some ty ->
+      let data = Bytes.create (String.length pkt - header_len) in
+      Bytes.blit_string pkt header_len data 0 (Bytes.length data);
       Some
         {
           p_ty = ty;
@@ -218,7 +220,7 @@ let decode pkt =
           p_dport = Xport.get16 pkt 8;
           p_id = Xport.get32 pkt 10;
           p_ack = Xport.get32 pkt 14;
-          p_data = String.sub pkt header_len (String.length pkt - header_len);
+          p_data = data;
         }
 
 (* ---- output ---- *)
@@ -349,10 +351,10 @@ let process_ack c ack =
 
 let deliver c data =
   c.stack.stats.msgs_rcvd <- c.stack.stats.msgs_rcvd + 1;
-  c.stack.stats.bytes_rcvd <- c.stack.stats.bytes_rcvd + String.length data;
+  c.stack.stats.bytes_rcvd <- c.stack.stats.bytes_rcvd + Bytes.length data;
   c.cstats.msgs_rcvd <- c.cstats.msgs_rcvd + 1;
-  c.cstats.bytes_rcvd <- c.cstats.bytes_rcvd + String.length data;
-  Block.Q.force_put c.rq (Block.make ~delim:true data)
+  c.cstats.bytes_rcvd <- c.cstats.bytes_rcvd + Bytes.length data;
+  Block.Q.force_put c.rq (Block.make_bytes ~delim:true data)
 
 let send_ack_now c = xmit c Ack ~id:(c.next - 1) ()
 

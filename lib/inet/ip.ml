@@ -30,9 +30,13 @@ type arp_state =
   | Resolved of Netsim.Eaddr.t * float  (* address, expiry *)
   | Pending of string list ref * int ref  (* queued raw IP packets, tries *)
 
+(* a fragment stays in the frame it arrived in: its data is
+   [f_raw.[header_len ..]], [f_len] bytes, copied once the datagram is
+   whole *)
+type frag = { f_off : int; f_more : bool; f_raw : string; f_len : int }
+
 type reasm = {
-  mutable frags : (int * bool * string) list;  (* offset, more, data *)
-  mutable born : float;
+  mutable frags : frag list;  (* ascending offset, one per offset *)
 }
 
 type stack = {
@@ -97,8 +101,9 @@ let eaddr_of_raw s off =
 
 (* -------- IP header -------- *)
 
-let encode_header ~len ~ipid ~frag_off ~more ~proto ~src:sa ~dst:da =
-  let b = Bytes.make header_len '\000' in
+(* the 20-byte header, checksum included, into the front of [b] *)
+let put_header b ~len ~ipid ~frag_off ~more ~proto ~src:sa ~dst:da =
+  Bytes.fill b 0 header_len '\000';
   Bytes.set b 0 '\x45';
   put16 b 2 len;
   put16 b 4 ipid;
@@ -107,9 +112,7 @@ let encode_header ~len ~ipid ~frag_off ~more ~proto ~src:sa ~dst:da =
   Bytes.set b 9 (Char.chr proto);
   put32 b 12 (Ipaddr.to_int32 sa);
   put32 b 16 (Ipaddr.to_int32 da);
-  let sum = Chksum.finish (Chksum.ones_sum (Bytes.to_string b) 0 header_len) in
-  put16 b 10 sum;
-  Bytes.to_string b
+  put16 b 10 (Chksum.finish (Chksum.ones_sum_bytes b 0 header_len))
 
 type header = {
   h_len : int;
@@ -226,13 +229,13 @@ let dispatch t ~src:sa ~dst:da ~proto payload =
   | Some handler -> handler ~src:sa ~dst:da payload
   | None -> t.stats.ip_no_proto <- t.stats.ip_no_proto + 1
 
-let reassemble t h payload =
+let reassemble t h raw =
   let key = (Ipaddr.to_int32 h.h_src, h.h_ipid) in
   let r =
     match Hashtbl.find_opt t.reasm_tbl key with
     | Some r -> r
     | None ->
-      let r = { frags = []; born = Sim.Engine.now t.eng } in
+      let r = { frags = [] } in
       Hashtbl.replace t.reasm_tbl key r;
       Sim.Engine.after ~label:"ip" t.eng reasm_timeout (fun () ->
           if Hashtbl.mem t.reasm_tbl key then begin
@@ -241,24 +244,37 @@ let reassemble t h payload =
           end);
       r
   in
-  r.frags <- (h.h_frag_off, h.h_more, payload) :: r.frags;
-  (* complete iff we have a no-more fragment and contiguous coverage *)
-  let sorted =
-    List.sort (fun (a, _, _) (b, _, _) -> compare a b) r.frags
+  let f =
+    { f_off = h.h_frag_off; f_more = h.h_more; f_raw = raw;
+      f_len = h.h_len - header_len }
   in
+  (* a duplicate of a fragment already held adds nothing *)
+  let rec insert = function
+    | [] -> [ f ]
+    | g :: _ as l when f.f_off < g.f_off -> f :: l
+    | g :: _ as l when f.f_off = g.f_off -> l
+    | g :: rest -> g :: insert rest
+  in
+  r.frags <- insert r.frags;
+  (* complete iff we have a no-more fragment and contiguous coverage *)
   let rec check expected = function
     | [] -> None
-    | (off, more, data) :: rest ->
-      if off <> expected then None
-      else if more then check (expected + String.length data) rest
-      else if rest = [] then Some (expected + String.length data)
+    | g :: rest ->
+      if g.f_off <> expected then None
+      else if g.f_more then check (expected + g.f_len) rest
+      else if rest = [] then Some (expected + g.f_len)
       else None
   in
-  match check 0 sorted with
+  match check 0 r.frags with
   | None -> None
-  | Some _total ->
+  | Some total ->
     Hashtbl.remove t.reasm_tbl key;
-    Some (String.concat "" (List.map (fun (_, _, d) -> d) sorted))
+    let whole = Bytes.create total in
+    List.iter
+      (fun g -> Bytes.blit_string g.f_raw header_len whole g.f_off g.f_len)
+      r.frags;
+    (* whole was allocated above and is never written again *)
+    Some (Bytes.unsafe_to_string whole)
 
 let emit_badsum t =
   t.stats.ip_bad_checksum <- t.stats.ip_bad_checksum + 1;
@@ -268,30 +284,35 @@ let emit_badsum t =
     Obs.Trace.emit tr (Obs.Event.Checksum_err { proto = "ip" });
     Obs.Trace.bump tr "ip.badsum" 1
 
+(* a packet for this stack: an unfragmented one hands its transport one
+   copy of the payload; a fragment waits in its frame until the datagram
+   is whole *)
+let receive t h raw =
+  if h.h_frag_off = 0 && not h.h_more then
+    dispatch t ~src:h.h_src ~dst:h.h_dst ~proto:h.h_proto
+      (String.sub raw header_len (h.h_len - header_len))
+  else
+    match reassemble t h raw with
+    | Some whole -> dispatch t ~src:h.h_src ~dst:h.h_dst ~proto:h.h_proto whole
+    | None -> ()
+
 let ip_input t (frame : Netsim.Ether.frame) =
-  match decode_header frame.Netsim.Ether.payload with
+  let p = frame.Netsim.Ether.payload in
+  match decode_header p with
   | None -> emit_badsum t
   | Some h ->
-    let p = frame.Netsim.Ether.payload in
     if String.length p < h.h_len then emit_badsum t
     else begin
       t.stats.ip_in <- t.stats.ip_in + 1;
-      let payload = String.sub p header_len (h.h_len - header_len) in
       if
         Ipaddr.equal h.h_dst t.my_addr
         || Ipaddr.equal h.h_dst Ipaddr.broadcast
-      then begin
-        if h.h_frag_off = 0 && not h.h_more then
-          dispatch t ~src:h.h_src ~dst:h.h_dst ~proto:h.h_proto payload
-        else
-          match reassemble t h payload with
-          | Some whole ->
-            dispatch t ~src:h.h_src ~dst:h.h_dst ~proto:h.h_proto whole
-          | None -> ()
-      end
+      then receive t h p
       else
         match t.forward with
-        | Some fwd -> fwd (String.sub p 0 h.h_len)
+        | Some fwd ->
+          (* a packet that fills its frame is passed on as it is *)
+          fwd (if String.length p = h.h_len then p else String.sub p 0 h.h_len)
         | None -> () (* hosts silently drop transit packets *)
     end
 
@@ -327,11 +348,12 @@ let send t ~proto ~dst payload =
       let remaining = total - off in
       let take = min max_data remaining in
       let more = off + take < total in
-      let hdr =
-        encode_header ~len:(header_len + take) ~ipid ~frag_off:off ~more
-          ~proto ~src:t.my_addr ~dst
-      in
-      emit_frag (hdr ^ String.sub payload off take);
+      let b = Bytes.create (header_len + take) in
+      put_header b ~len:(header_len + take) ~ipid ~frag_off:off ~more ~proto
+        ~src:t.my_addr ~dst;
+      Bytes.blit_string payload off b header_len take;
+      (* b was allocated above and is never written again *)
+      emit_frag (Bytes.unsafe_to_string b);
       if more then emit (off + take)
     in
     emit 0
@@ -391,16 +413,7 @@ let deliver_raw t raw =
   match decode_header raw with
   | None -> emit_badsum t
   | Some h ->
-    if String.length raw < h.h_len then emit_badsum t
-    else
-      let payload = String.sub raw header_len (h.h_len - header_len) in
-      if h.h_frag_off = 0 && not h.h_more then
-        dispatch t ~src:h.h_src ~dst:h.h_dst ~proto:h.h_proto payload
-      else
-        match reassemble t h payload with
-        | Some whole ->
-          dispatch t ~src:h.h_src ~dst:h.h_dst ~proto:h.h_proto whole
-        | None -> ()
+    if String.length raw < h.h_len then emit_badsum t else receive t h raw
 
 let set_forward t fn = t.forward <- Some fn
 let set_route_out t fn = t.route_out <- Some fn

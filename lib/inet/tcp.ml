@@ -223,9 +223,9 @@ let encode ~sport ~dport ~seq ~ack ~flags ~window payload =
   Xport.put16 b 16 0;
   Xport.put16 b 18 0;
   Bytes.blit_string payload 0 b header_len (String.length payload);
-  let sum = Chksum.checksum (Bytes.to_string b) in
-  Xport.put16 b 16 sum;
-  Bytes.to_string b
+  Xport.put16 b 16 (Chksum.checksum_bytes b);
+  (* b was allocated above and is never written again *)
+  Bytes.unsafe_to_string b
 
 type segment = {
   s_sport : int;

@@ -33,9 +33,10 @@ let encode ~sport ~dport payload =
   Xport.put16 b 4 len;
   Xport.put16 b 6 0;
   Bytes.blit_string payload 0 b header_len (String.length payload);
-  let sum = Chksum.checksum (Bytes.to_string b) in
+  let sum = Chksum.checksum_bytes b in
   Xport.put16 b 6 (if sum = 0 then 0xffff else sum);
-  Bytes.to_string b
+  (* b was allocated above and is never written again *)
+  Bytes.unsafe_to_string b
 
 let input st ~src ~dst:_ pkt =
   if String.length pkt >= header_len && Chksum.valid pkt then begin

@@ -139,37 +139,56 @@ let rerror = 59
 
 (* ---- little-endian primitive writers/readers ---- *)
 
-let w8 b v = Buffer.add_char b (Char.chr (v land 0xff))
+(* A message is written once, straight into a buffer of its exact wire
+   size: [pos] is the next byte to fill. *)
+type writer = { buf : Bytes.t; mutable pos : int }
+
+let writer n = { buf = Bytes.create n; pos = 0 }
+
+let finish b =
+  assert (b.pos = Bytes.length b.buf);
+  (* b.buf was allocated by [writer] and is never written again *)
+  Bytes.unsafe_to_string b.buf
+
+let w8 b v =
+  Bytes.set_uint8 b.buf b.pos (v land 0xff);
+  b.pos <- b.pos + 1
 
 let w16 b v =
-  w8 b v;
-  w8 b (v lsr 8)
+  Bytes.set_uint16_le b.buf b.pos (v land 0xffff);
+  b.pos <- b.pos + 2
 
-let w32 b (v : int32) =
-  let v = Int32.to_int (Int32.logand v 0xffffffffl) land 0xffffffff in
-  w16 b (v land 0xffff);
-  w16 b ((v lsr 16) land 0xffff)
+let w32 b v =
+  Bytes.set_int32_le b.buf b.pos v;
+  b.pos <- b.pos + 4
 
+let w64 b v =
+  Bytes.set_int64_le b.buf b.pos v;
+  b.pos <- b.pos + 8
 
-let w64 b (v : int64) =
-  w32 b (Int64.to_int32 v);
-  w32 b (Int64.to_int32 (Int64.shift_right_logical v 32))
+let wbytes b s =
+  Bytes.blit_string s 0 b.buf b.pos (String.length s);
+  b.pos <- b.pos + String.length s
+
+(* [s] NUL-padded to a fixed field [width] *)
+let wfixed b width s =
+  wbytes b s;
+  Bytes.fill b.buf b.pos (width - String.length s) '\000';
+  b.pos <- b.pos + width - String.length s
 
 let wname b s =
   if String.length s >= namelen then
     raise (Bad_message ("name too long: " ^ s));
-  Buffer.add_string b s;
-  Buffer.add_string b (String.make (namelen - String.length s) '\000')
+  wfixed b namelen s
 
 let werr b s =
   let s = if String.length s >= errlen then String.sub s 0 (errlen - 1) else s in
-  Buffer.add_string b s;
-  Buffer.add_string b (String.make (errlen - String.length s) '\000')
+  wfixed b errlen s
 
 let wstr2 b s =
   (* 2-byte count + bytes, used for data and variable strings *)
   w16 b (String.length s);
-  Buffer.add_string b s
+  wbytes b s
 
 let r8 s off = Char.code s.[off]
 let r16 s off = r8 s off lor (r8 s (off + 1) lsl 8)
@@ -204,8 +223,7 @@ let rstr2 s off what =
 
 (* ---- dir (stat) marshalling ---- *)
 
-let encode_dir d =
-  let b = Buffer.create dirlen in
+let write_dir b d =
   wname b d.d_name;
   wname b d.d_uid;
   wname b d.d_gid;
@@ -216,9 +234,12 @@ let encode_dir d =
   w32 b d.d_mtime;
   w64 b d.d_length;
   w16 b d.d_type;
-  w16 b d.d_dev;
-  assert (Buffer.length b = dirlen);
-  Buffer.contents b
+  w16 b d.d_dev
+
+let encode_dir d =
+  let b = writer dirlen in
+  write_dir b d;
+  finish b
 
 let decode_dir s off =
   need s off dirlen "stat";
@@ -237,8 +258,36 @@ let decode_dir s off =
 
 (* ---- top-level encode ---- *)
 
+(* wire size after the 3-byte type and tag header *)
+let body_len = function
+  | T (_, t) -> (
+    match t with
+    | Tnop -> 0
+    | Tauth { ticket; _ } -> 2 + namelen + 2 + String.length ticket
+    | Tsession { chal } -> 2 + String.length chal
+    | Tattach _ -> 2 + (2 * namelen)
+    | Tclone _ -> 4
+    | Twalk _ -> 2 + namelen
+    | Tclwalk _ -> 4 + namelen
+    | Topen _ -> 3
+    | Tcreate _ -> 2 + namelen + 5
+    | Tread _ -> 12
+    | Twrite { data; _ } -> 12 + String.length data
+    | Tclunk _ | Tremove _ | Tstat _ | Tflush _ -> 2
+    | Twstat _ -> 2 + dirlen)
+  | R (_, r) -> (
+    match r with
+    | Rnop | Rflush -> 0
+    | Rerror _ -> errlen
+    | Rauth { ticket; _ } -> 4 + String.length ticket
+    | Rsession { chal } -> 2 + String.length chal
+    | Rattach _ | Rwalk _ | Rclwalk _ | Ropen _ | Rcreate _ -> 10
+    | Rread { data } -> 2 + String.length data
+    | Rclone _ | Rwrite _ | Rclunk _ | Rremove _ | Rwstat _ -> 2
+    | Rstat _ -> dirlen)
+
 let encode msg =
-  let b = Buffer.create 64 in
+  let b = writer (3 + body_len msg) in
   let tag = match msg with T (tag, _) | R (tag, _) -> tag in
   let hdr code =
     w8 b code;
@@ -306,7 +355,7 @@ let encode msg =
     | Twstat { fid; stat } ->
       hdr twstat;
       w16 b fid;
-      Buffer.add_string b (encode_dir stat)
+      write_dir b stat
     | Tflush { oldtag } ->
       hdr tflush;
       w16 b oldtag)
@@ -365,12 +414,12 @@ let encode msg =
       w16 b fid
     | Rstat { stat } ->
       hdr (tstat + 1);
-      Buffer.add_string b (encode_dir stat)
+      write_dir b stat
     | Rwstat { fid } ->
       hdr (twstat + 1);
       w16 b fid
     | Rflush -> hdr (tflush + 1)));
-  Buffer.contents b
+  finish b
 
 (* ---- top-level decode ---- *)
 
@@ -579,7 +628,8 @@ module Frame = struct
     Bytes.set b 0 (Char.chr ((n lsr 8) land 0xff));
     Bytes.set b 1 (Char.chr (n land 0xff));
     Bytes.blit_string s 0 b 2 n;
-    Bytes.to_string b
+    (* b was allocated above and is never written again *)
+    Bytes.unsafe_to_string b
 
   type splitter = { mutable pending : string }
 

@@ -1,3 +1,65 @@
+(* A file's contents as fixed-size pages, so that a read copies only the
+   bytes it returns and a write touches only the pages it covers.  Every
+   page but the last is [page] bytes long; the last one grows by
+   doubling up to [page]. *)
+module Data = struct
+  let page = Fcall.maxfdata
+
+  type t = { mutable pages : Bytes.t array; mutable len : int }
+
+  let create () = { pages = [||]; len = 0 }
+  let length d = d.len
+
+  let clear d =
+    d.pages <- [||];
+    d.len <- 0
+
+  (* make page [i] hold at least [need] bytes, keeping what it has *)
+  let reserve d i need =
+    let p = d.pages.(i) in
+    if Bytes.length p < need then begin
+      let q = Bytes.create (min page (max need (2 * Bytes.length p))) in
+      Bytes.blit p 0 q 0 (Bytes.length p);
+      d.pages.(i) <- q
+    end
+
+  (* [off] must be within [0, length d] *)
+  let write d ~off s =
+    let stop = off + String.length s in
+    let n = (stop + page - 1) / page in
+    if n > Array.length d.pages then begin
+      let a = Array.make (max n (2 * Array.length d.pages)) Bytes.empty in
+      Array.blit d.pages 0 a 0 (Array.length d.pages);
+      d.pages <- a
+    end;
+    let pos = ref off in
+    while !pos < stop do
+      let i = !pos / page and o = !pos mod page in
+      let take = min (page - o) (stop - !pos) in
+      reserve d i (o + take);
+      Bytes.blit_string s (!pos - off) d.pages.(i) o take;
+      pos := !pos + take
+    done;
+    d.len <- max d.len stop
+
+  let read d ~off ~count =
+    if off < 0 || off >= d.len then ""
+    else begin
+      let n = min count (d.len - off) in
+      let b = Bytes.create n in
+      let pos = ref 0 in
+      while !pos < n do
+        let at = off + !pos in
+        let o = at mod page in
+        let take = min (page - o) (n - !pos) in
+        Bytes.blit d.pages.(at / page) o b !pos take;
+        pos := !pos + take
+      done;
+      (* b was allocated above and is never written again *)
+      Bytes.unsafe_to_string b
+    end
+end
+
 type entry = {
   mutable e_name : string;
   mutable e_qid : Fcall.qid;
@@ -10,7 +72,7 @@ type entry = {
   mutable e_parent : entry option;  (* None for the root *)
 }
 
-and kind = Dir of entry list ref | File of Buffer.t
+and kind = Dir of entry list ref | File of Data.t
 
 type t = { root : entry; owner : string; fsname : string; mutable next_path : int32 }
 
@@ -44,7 +106,7 @@ let bump e = e.e_qid <- { e.e_qid with Fcall.qvers = Int32.add e.e_qid.Fcall.qve
 let length_of e =
   match e.e_kind with
   | Dir children -> Int64.of_int (List.length !children * Fcall.dirlen)
-  | File b -> Int64.of_int (Buffer.length b)
+  | File b -> Int64.of_int (Data.length b)
 
 let stat_of e =
   {
@@ -96,7 +158,7 @@ let fs t =
           | (Fcall.Owrite | Fcall.Ordwr), Dir _ ->
             Error "is a directory"
           | _, File b when trunc ->
-            Buffer.clear b;
+            Data.clear b;
             bump n.n_entry;
             Ok ()
           | _, (Dir _ | File _) -> Ok ())
@@ -112,8 +174,7 @@ let fs t =
               (Server.dir_data
                  (List.map stat_of (List.rev !children))
                  ~offset ~count)
-          | File b ->
-            Ok (Server.slice (Buffer.contents b) ~offset ~count));
+          | File b -> Ok (Data.read b ~off:(Int64.to_int offset) ~count));
     fs_write =
       (fun n ~offset ~data ->
         if not n.n_open then Error "not open"
@@ -122,16 +183,10 @@ let fs t =
           | Dir _ -> Error "is a directory"
           | File b ->
             let off = Int64.to_int offset in
-            let cur = Buffer.contents b in
-            let curlen = String.length cur in
-            if off > curlen then Error "write past end of file"
+            if off < 0 then Error "bad offset"
+            else if off > Data.length b then Error "write past end of file"
             else begin
-              Buffer.clear b;
-              Buffer.add_string b (String.sub cur 0 off);
-              Buffer.add_string b data;
-              let tail = off + String.length data in
-              if tail < curlen then
-                Buffer.add_string b (String.sub cur tail (curlen - tail));
+              Data.write b ~off data;
               bump n.n_entry;
               Ok (String.length data)
             end);
@@ -155,7 +210,7 @@ let fs t =
                 e_gid = t.owner;
                 e_mtime = 0l;
                 e_atime = 0l;
-                e_kind = (if dir then Dir (ref []) else File (Buffer.create 64));
+                e_kind = (if dir then Dir (ref []) else File (Data.create ()));
                 e_parent = Some n.n_entry;
               }
             in
@@ -260,8 +315,8 @@ let add_file t path contents =
         (match lookup dir name with
         | Some old -> children := List.filter (fun x -> x != old) !children
         | None -> ());
-        let b = Buffer.create (String.length contents) in
-        Buffer.add_string b contents;
+        let b = Data.create () in
+        Data.write b ~off:0 contents;
         let e =
           {
             e_name = name;
@@ -280,7 +335,8 @@ let add_file t path contents =
 
 let read_file t path =
   match find_entry t.root (split_path path) with
-  | Some { e_kind = File b; _ } -> Some (Buffer.contents b)
+  | Some { e_kind = File b; _ } ->
+    Some (Data.read b ~off:0 ~count:(Data.length b))
   | Some { e_kind = Dir _; _ } | None -> None
 
 let exists t path = find_entry t.root (split_path path) <> None

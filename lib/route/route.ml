@@ -218,18 +218,14 @@ let output t raw dst =
 (* -------- transit -------- *)
 
 let decrement_ttl raw =
-  let ttl = Char.code raw.[8] in
   let b = Bytes.of_string raw in
-  Bytes.set b 8 (Char.chr (ttl - 1));
+  Bytes.set b 8 (Char.chr (Char.code raw.[8] - 1));
   (* repatch the header checksum for the new TTL *)
-  Bytes.set b 10 '\000';
-  Bytes.set b 11 '\000';
-  let sum =
-    Inet.Chksum.finish (Inet.Chksum.ones_sum (Bytes.to_string b) 0 20)
-  in
-  Bytes.set b 10 (Char.chr ((sum lsr 8) land 0xff));
-  Bytes.set b 11 (Char.chr (sum land 0xff));
-  Bytes.to_string b
+  Bytes.set_uint16_be b 10 0;
+  Bytes.set_uint16_be b 10
+    (Inet.Chksum.finish (Inet.Chksum.ones_sum_bytes b 0 20));
+  (* b was copied above and is never written again *)
+  Bytes.unsafe_to_string b
 
 (* a packet arriving from the wire whose destination is not the
    receiving stack: deliver if it is for any of our interfaces,

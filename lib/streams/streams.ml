@@ -173,8 +173,9 @@ let write ?(delim = true) s data =
     while !off < n do
       let take = min Block.max_atomic_write (n - !off) in
       let last = !off + take >= n in
-      write_block s
-        (Block.make ~delim:(delim && last) (String.sub data !off take));
+      let chunk = Bytes.create take in
+      Bytes.blit_string data !off chunk 0 take;
+      write_block s (Block.make_bytes ~delim:(delim && last) chunk);
       off := !off + take
     done
   end
@@ -259,12 +260,11 @@ let frame_factory () =
       (fun slot b ->
         match b.Block.kind with
         | Block.Data ->
-          let s = Block.to_string b in
-          let n = String.length s in
+          let n = Block.len b in
           let prefixed = Bytes.create (n + 2) in
           Bytes.set prefixed 0 (Char.chr ((n lsr 8) land 0xff));
           Bytes.set prefixed 1 (Char.chr (n land 0xff));
-          Bytes.blit_string s 0 prefixed 2 n;
+          Bytes.blit b.Block.buf b.Block.rp prefixed 2 n;
           pass_down slot (Block.make_bytes prefixed)
         | Block.Ctl | Block.Hangup -> pass_down slot b);
   }

@@ -1087,6 +1087,90 @@ let test_routing_ttl_expiry () =
   Alcotest.(check int) "no forward possible" 0
     (Inet.Ip.counters r_a).Inet.Ip.ip_forwarded
 
+(* ---- raw IP: reassembly and forwarding, packet by packet ---- *)
+
+(* an experimental protocol number (RFC 3692), so no transport claims it *)
+let proto_raw = 253
+
+(* a stack on its own segment whose outgoing packets are captured raw,
+   last one first, instead of going to the wire *)
+let capturing_stack eng addr =
+  let seg = Netsim.Ether.create ~name:"ether0" eng in
+  let st =
+    Inet.Ip.create ~addr:(ip addr) ~mask:(ip "255.255.255.0")
+      (Inet.Etherport.create eng (Netsim.Ether.attach seg (ea "080069030001")))
+  in
+  let out = ref [] in
+  Inet.Ip.set_route_out st (fun raw _dst -> out := raw :: !out);
+  (st, out)
+
+let test_reassembly_reverse_with_duplicate () =
+  let eng = Sim.Engine.create () in
+  let tx, frags = capturing_stack eng "10.1.0.1" in
+  let rx, _ = capturing_stack eng "10.1.0.2" in
+  let got = ref [] in
+  Inet.Ip.register_proto rx ~proto:proto_raw (fun ~src ~dst:_ data ->
+      got := (Inet.Ipaddr.to_string src, data) :: !got);
+  let payload =
+    String.init 4096 (fun i -> Char.chr (((i * 7) + (i / 256)) land 0xff))
+  in
+  Inet.Ip.send tx ~proto:proto_raw ~dst:(ip "10.1.0.2") payload;
+  let offsets =
+    List.map
+      (fun raw ->
+        match Inet.Ip.decode_header raw with
+        | Some h -> (h.Inet.Ip.h_frag_off, h.Inet.Ip.h_more)
+        | None -> Alcotest.fail "fragment header rejected")
+      !frags
+  in
+  Alcotest.(check (list (pair int bool)))
+    "three fragments, last first" [ (2960, false); (1480, true); (0, true) ]
+    offsets;
+  (match !frags with
+  | [ last; mid; first ] ->
+    (* reverse order, the middle one twice before the datagram is whole *)
+    List.iter (Inet.Ip.deliver_raw rx) [ last; mid; mid; first ]
+  | _ -> Alcotest.fail "expected three fragments");
+  match !got with
+  | [ (src, data) ] ->
+    Alcotest.(check string) "source" "10.1.0.1" src;
+    Alcotest.(check int) "length" (String.length payload) (String.length data);
+    Alcotest.(check bool) "byte for byte" true (data = payload)
+  | l -> Alcotest.failf "delivered %d datagrams, expected one" (List.length l)
+
+let test_forward_decrements_ttl () =
+  let eng = Sim.Engine.create () in
+  let tx, sent = capturing_stack eng "10.1.0.1" in
+  let payload = String.init 1000 (fun i -> Char.chr ((i * 13) land 0xff)) in
+  Inet.Ip.send tx ~proto:proto_raw ~dst:(ip "10.2.0.9") payload;
+  let raw = match !sent with [ r ] -> r | _ -> Alcotest.fail "one packet" in
+  let node = Route.create ~name:"gw" eng in
+  let mask = ip "255.255.255.0" in
+  let iface name addr emit =
+    { Route.if_name = name; if_addr = ip addr; if_mask = mask;
+      if_emit = emit; if_stack = None }
+  in
+  let ingress = iface "in" "10.1.0.254" (fun ~nexthop:_ _ -> ()) in
+  let out = ref [] in
+  Route.add_iface node ingress;
+  Route.add_iface node
+    (iface "out" "10.2.0.254" (fun ~nexthop raw ->
+         out := (nexthop, raw) :: !out));
+  Route.input node ~ingress raw;
+  match !out with
+  | [ (nexthop, fwd) ] ->
+    Alcotest.(check string) "next hop" "10.2.0.9"
+      (Inet.Ipaddr.to_string nexthop);
+    Alcotest.(check int) "ttl - 1" (Char.code raw.[8] - 1) (Char.code fwd.[8]);
+    (match Inet.Ip.decode_header fwd with
+    | Some h ->
+      Alcotest.(check int) "length kept" (String.length raw) h.Inet.Ip.h_len
+    | None -> Alcotest.fail "forwarded header rejected");
+    Alcotest.(check bool) "payload unchanged" true
+      (String.sub fwd 20 (String.length fwd - 20) = payload);
+    Alcotest.(check int) "forwarded" 1 (Route.stats node).Route.forwarded
+  | l -> Alcotest.failf "forwarded %d packets, expected one" (List.length l)
+
 let () =
   Alcotest.run "inet"
     [
@@ -1170,6 +1254,10 @@ let () =
           Alcotest.test_case "arp resolves once" `Quick test_arp_resolves_once;
           Alcotest.test_case "loopback" `Quick test_ip_loopback;
           Alcotest.test_case "no route" `Quick test_no_route_raises;
+          Alcotest.test_case "reassembly: reverse order, duplicate" `Quick
+            test_reassembly_reverse_with_duplicate;
+          Alcotest.test_case "forward: ttl - 1, payload unchanged" `Quick
+            test_forward_decrements_ttl;
         ] );
       ( "routing",
         [

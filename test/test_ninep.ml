@@ -438,6 +438,143 @@ let test_pp_dir_format () =
   Alcotest.(check string) "ls -l style"
     "-rw-rw-rw- t 0 bootes   bootes          0 eia1" s
 
+(* ---- ramfs write semantics ---- *)
+
+let test_ramfs_write_semantics () =
+  with_ramfs (fun _eng ram c ->
+      let root = Ninep.Client.attach c ~uname:"philw" ~aname:"" in
+      let f = Ninep.Client.clone c root in
+      ignore (Ninep.Client.create c f ~name:"f" ~perm:0o644l F.Ordwr);
+      let vers fid = (Ninep.Client.stat c fid).F.d_qid.F.qvers in
+      let length fid = (Ninep.Client.stat c fid).F.d_length in
+      let contents () = Option.get (Ninep.Ramfs.read_file ram "/f") in
+      let write off data =
+        let v = vers f in
+        Alcotest.(check int) "count" (String.length data)
+          (Ninep.Client.write c f ~offset:(Int64.of_int off) data);
+        Alcotest.(check int32) "qid.vers rises by one per write"
+          (Int32.add v 1l) (vers f)
+      in
+      write 0 "0123456789";
+      write 3 "abc";
+      Alcotest.(check string) "overwrite keeps head and tail" "012abc6789"
+        (contents ());
+      write 8 "XYZW";
+      Alcotest.(check string) "overwrite past EOF extends" "012abc67XYZW"
+        (contents ());
+      Alcotest.(check int64) "length" 12L (length f);
+      let v = vers f in
+      (match Ninep.Client.write c f ~offset:13L "!" with
+      | _ -> Alcotest.fail "a write past the end was accepted"
+      | exception Ninep.Client.Err e ->
+        Alcotest.(check string) "error" "write past end of file" e);
+      Alcotest.(check int32) "refused write leaves qid.vers" v (vers f);
+      Alcotest.(check string) "refused write leaves the data" "012abc67XYZW"
+        (contents ());
+      write 12 "!";
+      Ninep.Client.clunk c f;
+      let g = Ninep.Client.walk_path c root [ "f" ] in
+      let v = vers g in
+      ignore (Ninep.Client.open_ c g ~trunc:true F.Owrite);
+      Alcotest.(check int32) "truncating open bumps qid.vers" (Int32.add v 1l)
+        (vers g);
+      Alcotest.(check int64) "truncated length" 0L (length g);
+      Alcotest.(check string) "truncated data" "" (contents ());
+      Ninep.Client.clunk c g)
+
+(* ramfs straight through its server interface: a fresh file "/f",
+   created open for reading and writing *)
+let ram_file () =
+  let ram = Ninep.Ramfs.make ~name:"ram" () in
+  let fs = Ninep.Ramfs.fs ram in
+  let get = function Ok v -> v | Error e -> Alcotest.fail e in
+  let root = get (fs.Ninep.Server.fs_attach ~uname:"u" ~aname:"") in
+  (ram, fs, get (fs.Ninep.Server.fs_create root ~name:"f" ~perm:0o644l F.Ordwr))
+
+(* writes of any size at any offset up to the length, across page
+   boundaries, against a flat model of the file *)
+let prop_ramfs_matches_model =
+  QCheck.Test.make ~name:"ramfs writes and reads match a flat model" ~count:100
+    QCheck.(
+      pair
+        (small_list (triple (int_bound 1000) (int_bound 20000) printable_char))
+        (small_list (pair (int_bound 1000) (int_bound 10000))))
+    (fun (writes, reads) ->
+      let ram, fs, n = ram_file () in
+      let write m (frac, len, ch) =
+        let off = frac * String.length m / 1000 in
+        let data =
+          String.init len (fun i -> Char.chr ((Char.code ch + i) land 0xff))
+        in
+        ignore
+          (fs.Ninep.Server.fs_write n ~offset:(Int64.of_int off) ~data);
+        let tail = off + len and mlen = String.length m in
+        String.sub m 0 off ^ data
+        ^ if tail < mlen then String.sub m tail (mlen - tail) else ""
+      in
+      let model = List.fold_left write "" writes in
+      let read (frac, count) =
+        let off = frac * String.length model / 1000 in
+        let want =
+          String.sub model off (min count (String.length model - off))
+        in
+        fs.Ninep.Server.fs_read n ~offset:(Int64.of_int off) ~count = Ok want
+      in
+      Ninep.Ramfs.read_file ram "/f" = Some model && List.for_all read reads)
+
+(* ---- ramfs complexity guard: an 8 KiB read or append costs the same
+   on a 1 MiB file as on a 64 KiB one.  Allocated words (minor, plus
+   those allocated straight into the major heap) are exact for a fixed
+   binary, so this is a deterministic budget, not a timing test. ---- *)
+
+let allocated_words () =
+  let minor, promoted, major = Gc.counters () in
+  minor +. major -. promoted
+
+(* words per op over [reps] runs of [op] against a fresh file of [size]
+   bytes; the fewest of three windows, so that a one-off cost of the
+   runtime landing in one window does not count *)
+let ramfs_words_per_op ~size op =
+  let window () =
+    let _, fs, n = ram_file () in
+    let chunk = String.make F.maxfdata 'x' in
+    let write off =
+      match
+        fs.Ninep.Server.fs_write n ~offset:(Int64.of_int off) ~data:chunk
+      with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail e
+    in
+    for k = 0 to (size / F.maxfdata) - 1 do
+      write (k * F.maxfdata)
+    done;
+    let reps = 64 in
+    let w0 = allocated_words () in
+    for i = 0 to reps - 1 do
+      op ~size ~fs ~n ~write i
+    done;
+    (allocated_words () -. w0) /. float_of_int reps
+  in
+  List.fold_left (fun m _ -> Float.min m (window ())) infinity [ 1; 2; 3 ]
+
+let ramfs_read ~size ~fs ~n ~write:_ i =
+  let offset = Int64.of_int (i * F.maxfdata mod size) in
+  match fs.Ninep.Server.fs_read n ~offset ~count:F.maxfdata with
+  | Ok s when String.length s = F.maxfdata -> ()
+  | Ok _ | Error _ -> Alcotest.fail "short read"
+
+let ramfs_append ~size ~fs:_ ~n:_ ~write i = write (size + (i * F.maxfdata))
+
+let flat_in_file_size what op () =
+  let small = 64 * 1024 and large = 1024 * 1024 in
+  let ws = ramfs_words_per_op ~size:small op
+  and wl = ramfs_words_per_op ~size:large op in
+  if wl > 1.1 *. ws then
+    Alcotest.failf
+      "ramfs %s: %.0f words per 8 KiB on a %d-byte file, %.0f on a %d-byte \
+       file — the cost grows with the file"
+      what ws small wl large
+
 let () =
   Alcotest.run "ninep"
     [
@@ -472,6 +609,16 @@ let () =
           Alcotest.test_case "qid dir bit" `Quick test_qid_dir_bit;
           Alcotest.test_case "session resets fids" `Quick
             test_session_resets_fids;
+          Alcotest.test_case "ramfs write semantics" `Quick
+            test_ramfs_write_semantics;
+          QCheck_alcotest.to_alcotest prop_ramfs_matches_model;
+        ] );
+      ( "cost",
+        [
+          Alcotest.test_case "ramfs read, 64 KiB vs 1 MiB" `Quick
+            (flat_in_file_size "read" ramfs_read);
+          Alcotest.test_case "ramfs append, 64 KiB vs 1 MiB" `Quick
+            (flat_in_file_size "append" ramfs_append);
         ] );
       ( "mount-driver",
         [

@@ -32,7 +32,7 @@ explore:
 # Observability smoke: run the Table 1 bench with tracing attached and
 # emit BENCH_table1.json.  The bench exits non-zero if any path records
 # zero events or all-zero counters, so a silent instrumentation
-# regression fails CI here.
+# regression fails CI here.  Golden-compared under bench-guard.
 smoke:
 	dune exec bench/main.exe -- json
 
@@ -97,7 +97,8 @@ bench-bootstorm:
 fleet-smoke:
 	dune exec bench/main.exe -- bootstorm-smoke
 
-# Guard: runs every bench registered with a golden in bench/main.ml.
+# Guard: runs every bench registered with a golden in bench/main.ml
+# (seven: table1, cfs, faults, swarm, routed, congestion, bootstorm).
 # Under the default FIFO policy the virtual-time behavior must
 # reproduce each bench/golden/ JSON byte for byte once the one
 # wall-clock perf line is stripped.  Each layer's minor words per event

@@ -61,8 +61,11 @@ let xfer_json name (x : Xfer.t) =
 let collapse_side ~seed proto =
   Swarm_bench.run_side
     ~topology:
-      (Swarm_bench.Flat
-         { hosts = collapse_hosts; bandwidth = collapse_bandwidth })
+      {
+        ndb = Swarm_bench.swarm_ndb ~hosts:collapse_hosts ();
+        bandwidth = collapse_bandwidth;
+        until = 600.;
+      }
     ~proto ~convs_per_host:collapse_convs_per_host ~ramp:collapse_dial_ramp
     ~close_ramp:0. ~msg_bytes:collapse_msg_bytes ~seed
 

@@ -30,7 +30,13 @@ let nth_sys i = Printf.sprintf "sys%06d" i
    meet over a point-to-point Datakit subnet (medium=dk), and a server
    subnet hanging off the right-hand core.  Every subnet entry carries
    an explicit ipmask, and clients inherit their default route from the
-   leaf's ipgw. *)
+   leaf's ipgw.  Machines are listed in the order the routed swarm
+   bench boots them (it boots in database order, and BENCH_routed.json
+   depends on that order): the right core, the left core, the leaf
+   gateways, the server, the clients.  Each machine's Ethernet address
+   is fixed by its role, not by its place in the list: the leaf
+   gateways are numbered first, then the cores, the server and the
+   clients. *)
 
 let gw_sys k = Printf.sprintf "gw%02d" k
 let client_sys k i = Printf.sprintf "cl%02d-%03d" k i
@@ -43,11 +49,8 @@ let subnetted ?(leaves = 16) ?(clients_per_leaf = 14) () =
   if clients_per_leaf < 1 || clients_per_leaf > 250 then
     invalid_arg "subnetted: clients_per_leaf";
   let b = Buffer.create 16384 in
-  let mac = ref 0 in
-  let next_mac () =
-    incr mac;
-    Printf.sprintf "aa1069%06x" !mac
-  in
+  let mac n = Printf.sprintf "aa1069%06x" n in
+  let core = 2 * leaves in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
   for k = 1 to leaves do
     line "ipnet=%s ip=10.%d.0.0 ipmask=255.255.0.0" (leaf_net k) k;
@@ -59,30 +62,31 @@ let subnetted ?(leaves = 16) ?(clients_per_leaf = 14) () =
   line "\tipgw=10.200.0.1";
   line "ipnet=dkt ip=10.255.0.0 ipmask=255.255.0.0";
   line "\tmedium=dk";
+  (* the cores: right joins the Datakit transit to bbr and the server
+     subnet, left joins bbl to the transit *)
+  line "sys=gwcorer";
+  line "\tip=10.101.0.254 ether=%s" (mac (core + 2));
+  line "\tip=10.200.0.1 ether=%s" (mac (core + 3));
+  line "\tip=10.255.0.2";
+  line "\tdk=nj/bb/gwcorer";
+  line "sys=gwcorel";
+  line "\tip=10.100.0.254 ether=%s" (mac (core + 1));
+  line "\tip=10.255.0.1";
+  line "\tdk=nj/bb/gwcorel";
   (* leaf gateways: a NIC on the leaf, a NIC on their backbone *)
   for k = 1 to leaves do
     let bb = if 2 * k <= leaves then "100" else "101" in
     line "sys=%s" (gw_sys k);
-    line "\tip=10.%d.0.1 ether=%s" k (next_mac ());
-    line "\tip=10.%s.0.%d ether=%s" bb k (next_mac ())
+    line "\tip=10.%d.0.1 ether=%s" k (mac ((2 * k) - 1));
+    line "\tip=10.%s.0.%d ether=%s" bb k (mac (2 * k))
   done;
-  (* the cores: left joins bbl to the Datakit transit, right joins the
-     transit to bbr and the server subnet *)
-  line "sys=gwcorel";
-  line "\tip=10.100.0.254 ether=%s" (next_mac ());
-  line "\tip=10.255.0.1";
-  line "\tdk=nj/bb/gwcorel";
-  line "sys=gwcorer";
-  line "\tip=10.101.0.254 ether=%s" (next_mac ());
-  line "\tip=10.200.0.1 ether=%s" (next_mac ());
-  line "\tip=10.255.0.2";
-  line "\tdk=nj/bb/gwcorer";
   line "sys=%s" server_sys;
-  line "\tip=%s ether=%s" server_ip (next_mac ());
+  line "\tip=%s ether=%s" server_ip (mac (core + 4));
   for k = 1 to leaves do
     for i = 1 to clients_per_leaf do
       line "sys=%s" (client_sys k i);
-      line "\tip=10.%d.1.%d ether=%s" k i (next_mac ())
+      line "\tip=10.%d.1.%d ether=%s" k i
+        (mac (core + 4 + ((k - 1) * clients_per_leaf) + i))
     done
   done;
   line "il=echo\tport=56";

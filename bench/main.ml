@@ -402,9 +402,9 @@ let layer_sets perfs =
 (* The registry: one entry per section, one driver for all of them     *)
 (* ------------------------------------------------------------------ *)
 
-(* where a section's result goes: printed only, written to a file, or
-   written and golden-compared under [guard] against bench/golden/ *)
-type output = Stdout | File of string | Golden of string
+(* where a section's result goes: printed only, or written and
+   golden-compared under [guard] against bench/golden/ *)
+type output = Stdout | Golden of string
 
 type outcome = {
   json : string;  (* the deterministic document; "" if nothing is written *)
@@ -574,7 +574,7 @@ let run_bench b =
   let written =
     match b.output with
     | Stdout -> []
-    | File f | Golden f ->
+    | Golden f ->
       print_string r.json;
       Out_channel.with_open_bin f (fun oc -> output_string oc doc);
       (* wall clock is machine-dependent: the deterministic JSON stays
@@ -735,13 +735,28 @@ let swarm_baselines =
   [ ("il", 46.0 (* measured 36.35 *)); ("tcp", 60.0 (* measured 47.35 *)) ]
 
 let swarm () =
+  let hosts = 25 and convs_per_host = 40 and seed = 11 in
   let r =
     Swarm_bench.run
-      ~topology:(Swarm_bench.Flat { hosts = 25; bandwidth = 100e6 })
-      ~convs_per_host:40 ~seed:11
+      ~topology:
+        {
+          ndb = Swarm_bench.swarm_ndb ~hosts ();
+          bandwidth = 100e6;
+          until = 600.;
+        }
+      ~protos:[ "il"; "tcp" ] ~convs_per_host ~seed
   in
   {
-    json = r.res_json;
+    json =
+      Swarm_bench.json ~bench:"swarm" ~seed ~fields:Swarm_bench.timer_fields
+        ~header:(fun s ->
+          [
+            ("hosts", hosts);
+            ("convs_per_host", convs_per_host);
+            ("convs", s.s_total);
+            ("msg_bytes", Swarm_bench.msg_bytes);
+          ])
+        r.res_sides;
     perf = r.res_perf;
     gates =
       List.concat_map
@@ -753,19 +768,39 @@ let swarm () =
   }
 
 (* engine events per conversation for the routed topology (seed 11,
-   16 leaves x 14 clients x 45 conversations): dearer than the flat
-   swarm because every packet crosses two to four gateway hops *)
+   16 leaves x 14 clients x 45 conversations): dearer than the
+   one-segment swarm because every packet crosses two to four gateway hops *)
 let routed_baseline = 110.0 (* measured 85.82 *)
 
 let routed () =
+  let leaves = 16 and clients_per_leaf = 14 and convs_per_host = 45 in
+  let seed = 11 in
   let r =
     Swarm_bench.run
-      ~topology:(Swarm_bench.Routed { leaves = 16; clients_per_leaf = 14 })
-      ~convs_per_host:45 ~seed:11
+      ~topology:
+        {
+          ndb = Genndb.subnetted ~leaves ~clients_per_leaf ();
+          bandwidth = 100e6;
+          until = 900.;
+        }
+      ~protos:[ "il" ] ~convs_per_host ~seed
   in
   let s = List.hd r.res_sides in
   {
-    json = r.res_json;
+    json =
+      Swarm_bench.json ~bench:"routed_swarm" ~seed
+        ~fields:Swarm_bench.route_fields
+        ~header:(fun s ->
+          [
+            ("leaves", leaves);
+            ("clients_per_leaf", clients_per_leaf);
+            ("convs_per_client", convs_per_host);
+            ("convs", s.s_total);
+            ("msg_bytes", Swarm_bench.msg_bytes);
+            ("segments", s.s_segments);
+            ("gateways", s.s_gateways);
+          ])
+        r.res_sides;
     perf = r.res_perf;
     gates =
       side_gates ~min_peak:10000 ~baseline:routed_baseline s
@@ -929,8 +964,13 @@ let bootstorm_smoke () =
 let profile () =
   let r =
     Swarm_bench.run
-      ~topology:(Swarm_bench.Flat { hosts = 2; bandwidth = 100e6 })
-      ~convs_per_host:3 ~seed:11
+      ~topology:
+        {
+          ndb = Swarm_bench.swarm_ndb ~hosts:2 ();
+          bandwidth = 100e6;
+          until = 600.;
+        }
+      ~protos:[ "il"; "tcp" ] ~convs_per_host:3 ~seed:11
   in
   List.iter
     (fun (name, (rep : Obs.Prof.report)) ->
@@ -1038,7 +1078,7 @@ let registry =
   [
     printing "table1" "Table 1 - Performance (paper section 8)" run_table1;
     entry "json" "table1 json - Table 1 with the kernel trace attached"
-      (File "BENCH_table1.json") ~rerun:false table1_json;
+      (Golden "BENCH_table1.json") ~rerun:false table1_json;
     printing "fig1" "Figure 1 - the ether device tree (paper section 2.2)"
       run_fig1;
     printing "codesize" "IL vs TCP implementation size (paper section 3)"

@@ -1,21 +1,21 @@
 (* The swarm benchmark: thousands of concurrent conversations through
    the whole stack — CS translation, the dial library, the protocol
-   devices, and the transports — on one of two topologies.
+   devices, and the transports — on any topology an ndb describes.
 
-   [Flat] puts every client host on one Ethernet segment with the
-   server.  [Routed] pushes the same swarm through a real internet:
-   Genndb.subnetted describes [leaves] client subnets, each behind its
-   own gateway, two Ethernet backbones joined by a point-to-point
-   IP-over-Datakit tunnel, and a server subnet — every conversation
-   crosses at least two gateway hops, and conversations from the left
-   half of the tree also transit the Datakit fabric.
+   [swarm_ndb] puts every client host on one Ethernet segment with the
+   server.  Genndb.subnetted pushes the same swarm through a real
+   internet: [leaves] client subnets, each behind its own gateway, two
+   Ethernet backbones joined by a point-to-point IP-over-Datakit
+   tunnel, and a server subnet — every conversation crosses at least
+   two gateway hops, and conversations from the left half of the tree
+   also transit the Datakit fabric.
 
    Every client dials [<proto>!swarmsrv!echo] through its own
    connection server, exchanges a message, then parks at a barrier
    until all conversations are established at once; the releasing
    client samples the server stack's conversation table to prove the
-   concurrency was real.  The routed run also reports what the
-   gateways saw: forwarded packet counts, tunnel cell counts, and the
+   concurrency was real.  Each side also counts what the gateways
+   saw: forwarded packet counts, tunnel cell counts, and the
    drop counters from the routing choke point — a healthy run forwards
    millions of packets and drops none.  Everything runs in virtual
    time on one seeded engine so the JSON is byte-identical across
@@ -28,9 +28,14 @@
    no matter how many conversations park at the barrier.  The driver
    gates on that number against a recorded baseline. *)
 
-type topology =
-  | Flat of { hosts : int; bandwidth : float }
-  | Routed of { leaves : int; clients_per_leaf : int }
+(* A topology is its ndb, the bandwidth of its Ethernet segments and
+   Datakit switch, and its run horizon; the hosts, the server, the
+   gateways and the segment count all come from the booted world.  A
+   thousand conversations on one segment need 100 Mb/s to stay clear of
+   queueing past min_rto, or the measurement becomes a
+   congestion-collapse study instead of an event-economy one; the
+   congestion bench passes 10 Mb/s to study exactly that collapse. *)
+type topology = { ndb : string; bandwidth : float; until : float }
 
 let msg_bytes = 512
 let ramp_step = 0.002 (* seconds of virtual time between dials *)
@@ -67,7 +72,7 @@ type side = {
   s_retransmits : int;  (* world-wide <proto>.retransmits *)
   s_fast_retransmits : int;  (* tcpcc only; 0 elsewhere *)
   s_segments : int;  (* Ethernet segments, plus the Datakit transit *)
-  s_gateways : int;  (* 0 on a flat topology *)
+  s_gateways : int;  (* hosts with two or more interfaces *)
   s_forwarded : int;  (* summed over every gateway node *)
   s_tun_tx : int;  (* IP packets into the Datakit tunnel *)
   s_tun_rx : int;
@@ -89,53 +94,37 @@ let echo_once env data_fd payload =
     else got := !got + String.length s
   done
 
-(* the world for a topology, before any host boots; the flat swarm's
-   default 100 Mb/s keeps a thousand conversations on one segment from
-   queueing past min_rto, or the measurement becomes a
-   congestion-collapse study instead of an event-economy one.  The
-   congestion bench passes 10 Mb/s to study exactly that collapse. *)
-let world ~seed = function
-  | Flat { hosts; bandwidth } ->
-    P9net.World.create ~seed ~ether_bandwidth:bandwidth
-      ~db:(Ndb.of_string (swarm_ndb ~hosts ()))
-      ()
-  | Routed { leaves; clients_per_leaf } ->
-    P9net.World.routed ~seed ~ether_bandwidth:100e6 ~dk_bandwidth:100e6
-      ~db:(Ndb.of_string (Genndb.subnetted ~leaves ~clients_per_leaf ()))
-      ()
-
-(* boot the hosts: gateways first, so tunnel listeners are announced
-   before anything routes into them; then the server; then the clients.
+(* boot every machine in database order — the generators list the
+   gateways first, so tunnel listeners are announced before anything
+   routes into them; then the server; then the clients — and route.
    Returns (server, clients, gateways). *)
-let boot w = function
-  | Flat { hosts; _ } ->
-    let server = P9net.World.add_host w "swarmsrv" in
-    let clients =
-      List.init hosts (fun i ->
-          P9net.World.add_host w (Printf.sprintf "swarmc%d" (i + 1)))
-    in
-    (server, clients, [])
-  | Routed { leaves; clients_per_leaf } ->
-    let gateways =
-      List.init leaves (fun k -> P9net.World.add_host w (Genndb.gw_sys (k + 1)))
-      @ [ P9net.World.add_host w "gwcorel"; P9net.World.add_host w "gwcorer" ]
-    in
-    let server = P9net.World.add_host w Genndb.server_sys in
-    let clients =
-      List.concat
-        (List.init leaves (fun k ->
-             List.init clients_per_leaf (fun i ->
-                 P9net.World.add_host w (Genndb.client_sys (k + 1) (i + 1)))))
-    in
-    P9net.World.autoroute w;
-    (server, clients, gateways)
+let boot w =
+  let hosts =
+    List.filter_map
+      (fun e -> Option.map (P9net.World.add_host w) (Ndb.get e "sys"))
+      (Ndb.entries w.P9net.World.db)
+  in
+  P9net.World.autoroute w;
+  let gateway (h : P9net.Host.t) =
+    match h.node with
+    | Some n -> List.length (Route.ifaces n) >= 2
+    | None -> false
+  in
+  let server = P9net.World.host w "swarmsrv" in
+  ( server,
+    List.filter (fun h -> h != server && not (gateway h)) hosts,
+    List.filter gateway hosts )
 
 (* the close burst staggers by [close_ramp]; the congestion bench
    passes 0. so every conversation fires its second echo and hangup at
    the same barrier-released instant *)
 let run_side ~topology ~proto ~convs_per_host ~ramp ~close_ramp ~msg_bytes
     ~seed =
-  let w = world ~seed topology in
+  let db = Ndb.of_string topology.ndb in
+  let w =
+    P9net.World.create ~seed ~ether_bandwidth:topology.bandwidth
+      ~dk_bandwidth:topology.bandwidth ~db ()
+  in
   let eng = w.P9net.World.eng in
   let tr = Obs.Trace.create () in
   Sim.Engine.attach_obs eng tr;
@@ -143,7 +132,7 @@ let run_side ~topology ~proto ~convs_per_host ~ramp ~close_ramp ~msg_bytes
      deterministic JSON, only in the strippable perf line *)
   let prof = Obs.Prof.create ~clock:Unix.gettimeofday () in
   Sim.Engine.attach_prof eng prof;
-  let server, clients, gateways = boot w topology in
+  let server, clients, gateways = boot w in
   let total = List.length clients * convs_per_host in
   (* the echo service, bench-owned so the backlog is explicit *)
   ignore
@@ -210,8 +199,7 @@ let run_side ~topology ~proto ~convs_per_host ~ramp ~close_ramp ~msg_bytes
                if !completed = total then finish := Sim.Engine.now eng))
       done)
     clients;
-  let until = match topology with Flat _ -> 600.0 | Routed _ -> 900.0 in
-  P9net.World.run ~until w;
+  P9net.World.run ~until:topology.until w;
   let counter name = Obs.Metrics.counter (Obs.Trace.metrics tr) name in
   let route (f : Route.counters -> int) =
     List.fold_left
@@ -246,7 +234,11 @@ let run_side ~topology ~proto ~convs_per_host ~ramp ~close_ramp ~msg_bytes
       s_fast_retransmits = counter (proto ^ ".fast_retransmits");
       s_segments =
         List.length w.P9net.World.segments
-        + (match topology with Flat _ -> 0 | Routed _ -> 1);
+        + List.length
+            (List.filter
+               (fun e ->
+                 Ndb.get e "ipnet" <> None && Ndb.get e "medium" = Some "dk")
+               (Ndb.entries db));
       s_gateways = List.length gateways;
       s_forwarded = route (fun c -> c.forwarded);
       s_tun_tx = route (fun c -> c.tun_tx);
@@ -258,42 +250,37 @@ let run_side ~topology ~proto ~convs_per_host ~ramp ~close_ramp ~msg_bytes
     },
     Obs.Prof.report prof )
 
-(* the flat swarm reports the timer economy; the routed one what the
-   gateways carried *)
-let side_json topology s =
-  let middle =
-    match topology with
-    | Flat _ ->
-      (* payload delivered to clients: two echoed messages per conversation *)
-      Printf.sprintf
-        "\"events_per_byte\": %.4f, \"timer_arm\": %d, \"timer_fire\": %d, \
-         \"timer_disarm\": %d"
-        (float_of_int s.s_events /. float_of_int (2 * msg_bytes * s.s_total))
-        s.s_timer_arm s.s_timer_fire s.s_timer_disarm
-    | Routed _ ->
-      Printf.sprintf
-        "\"forwarded\": %d, \"tun_tx\": %d, \"tun_rx\": %d, \"route_drops\": %d"
-        s.s_forwarded s.s_tun_tx s.s_tun_rx s.s_route_drops
-  in
+(* the per-side members a bench reports besides the common ones: the
+   timer economy, or what the gateways carried *)
+let timer_fields s =
+  (* payload delivered to clients: two echoed messages per conversation *)
+  Printf.sprintf
+    "\"events_per_byte\": %.4f, \"timer_arm\": %d, \"timer_fire\": %d, \
+     \"timer_disarm\": %d"
+    (float_of_int s.s_events /. float_of_int (2 * msg_bytes * s.s_total))
+    s.s_timer_arm s.s_timer_fire s.s_timer_disarm
+
+let route_fields s =
+  Printf.sprintf
+    "\"forwarded\": %d, \"tun_tx\": %d, \"tun_rx\": %d, \"route_drops\": %d"
+    s.s_forwarded s.s_tun_tx s.s_tun_rx s.s_route_drops
+
+let side_json fields s =
   Printf.sprintf
     "  %S: {\"converged\": %b, \"completed\": %d, \"peak_convs\": %d, \
      \"elapsed_s\": %.6f, \"engine_events\": %d, \"events_per_conv\": %.2f, \
      %s, \"backlog_refused\": %d, \"cs_cache_hits\": %d, \"cs_cache_misses\": \
      %d}"
     s.s_proto s.s_converged s.s_completed s.s_peak_convs s.s_elapsed s.s_events
-    (events_per_conv s) middle s.s_refused s.s_cs_hits s.s_cs_misses
+    (events_per_conv s) (fields s) s.s_refused s.s_cs_hits s.s_cs_misses
 
 type result = {
-  res_json : string;  (* deterministic: byte-identical across same-seed runs *)
   res_sides : side list;  (* one per transport, in run order *)
-  res_perf : (string * Obs.Prof.report) list;  (* wall clock; never in res_json *)
+  res_perf : (string * Obs.Prof.report) list;  (* wall clock; not in the JSON *)
 }
 
-(* the flat swarm runs IL then TCP; the routed swarm runs IL *)
-let run ~topology ~convs_per_host ~seed =
-  let protos =
-    match topology with Flat _ -> [ "il"; "tcp" ] | Routed _ -> [ "il" ]
-  in
+(* one side per transport in [protos], each on a fresh world *)
+let run ~topology ~protos ~convs_per_host ~seed =
   let runs =
     List.map
       (fun proto ->
@@ -301,33 +288,20 @@ let run ~topology ~convs_per_host ~seed =
           ~close_ramp:ramp_step ~msg_bytes ~seed)
       protos
   in
-  let sides = List.map fst runs in
-  let first = List.hd sides in
-  let b = Buffer.create 1024 in
-  Printf.bprintf b "{\n";
-  (match topology with
-  | Flat { hosts; _ } ->
-    Printf.bprintf b "  \"bench\": \"swarm\",\n";
-    Printf.bprintf b "  \"seed\": %d,\n" seed;
-    Printf.bprintf b "  \"hosts\": %d,\n" hosts;
-    Printf.bprintf b "  \"convs_per_host\": %d,\n" convs_per_host;
-    Printf.bprintf b "  \"convs\": %d,\n" first.s_total;
-    Printf.bprintf b "  \"msg_bytes\": %d,\n" msg_bytes
-  | Routed { leaves; clients_per_leaf } ->
-    Printf.bprintf b "  \"bench\": \"routed_swarm\",\n";
-    Printf.bprintf b "  \"seed\": %d,\n" seed;
-    Printf.bprintf b "  \"leaves\": %d,\n" leaves;
-    Printf.bprintf b "  \"clients_per_leaf\": %d,\n" clients_per_leaf;
-    Printf.bprintf b "  \"convs_per_client\": %d,\n" convs_per_host;
-    Printf.bprintf b "  \"convs\": %d,\n" first.s_total;
-    Printf.bprintf b "  \"msg_bytes\": %d,\n" msg_bytes;
-    Printf.bprintf b "  \"segments\": %d,\n" first.s_segments;
-    Printf.bprintf b "  \"gateways\": %d,\n" first.s_gateways);
-  Buffer.add_string b
-    (String.concat ",\n" (List.map (side_json topology) sides));
-  Printf.bprintf b "\n}\n";
   {
-    res_json = Buffer.contents b;
-    res_sides = sides;
+    res_sides = List.map fst runs;
     res_perf = List.map2 (fun p (_, rep) -> (p, rep)) protos runs;
   }
+
+(* the bench document, byte-identical across same-seed runs: [header]
+   gives the integer members after bench and seed (from the first
+   side), [fields] each side's own members *)
+let json ~bench ~seed ~header ~fields sides =
+  let b = Buffer.create 1024 in
+  Printf.bprintf b "{\n  \"bench\": %S,\n  \"seed\": %d,\n" bench seed;
+  List.iter
+    (fun (k, v) -> Printf.bprintf b "  %S: %d,\n" k v)
+    (header (List.hd sides));
+  Buffer.add_string b (String.concat ",\n" (List.map (side_json fields) sides));
+  Printf.bprintf b "\n}\n";
+  Buffer.contents b

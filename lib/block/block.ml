@@ -70,7 +70,7 @@ module Q = struct
     readers : Sim.Rendez.t;
     writers : Sim.Rendez.t;
     mutable kick : (unit -> unit) option;
-    mutable qname : string;  (* label for flow-control trace events *)
+    qname : string;  (* label for flow-control trace events *)
   }
 
   type t = q
@@ -96,7 +96,6 @@ module Q = struct
   let is_closed q = q.closed
   let full q = q.nbytes >= q.limit
   let set_kick q fn = q.kick <- fn
-  let set_name q n = q.qname <- n
   let name q = q.qname
 
   (* Test-only planted ordering bug (see DESIGN.md, "Schedule

@@ -78,10 +78,6 @@ module Q : sig
   (** [limit] defaults to 64 KiB of buffered payload.  [name] (default
       ["q"]) labels this queue in flow-control trace events. *)
 
-  val set_name : t -> string -> unit
-  (** Relabel after creation — streams name their queues once the
-      owning device is known. *)
-
   val name : t -> string
 
   val put : t -> block -> unit

@@ -93,10 +93,6 @@ val flush : t -> unit
 (** Drop every cached block (version tracking restarts; never counts as
     an invalidation). *)
 
-val set_readahead : t -> int -> unit
-val set_budget : t -> int -> unit
-(** Shrinking the budget evicts immediately. *)
-
 (** {1 Cache observability} *)
 
 val counter : t -> string -> int

@@ -26,8 +26,11 @@ let rec pair_addrs ips ethers =
   | ip :: ips', [] -> (ip, None) :: pair_addrs ips' []
   | [], _ -> []
 
-let create ?uname ?ether ?(segments = []) ?dk ?il_config ?tcp_config
-    ?tcpcc_config ?(dns_server = false) ~db ~name eng =
+let addrs entry =
+  pair_addrs (Ndb.get_all entry "ip") (Ndb.get_all entry "ether")
+
+let create ?uname ~wire ?dk ?il_config ?tcp_config ?tcpcc_config
+    ?(dns_server = false) ~db ~name eng =
   let entry =
     match Ndb.sys_entry db name with
     | Some e -> e
@@ -50,16 +53,6 @@ let create ?uname ?ether ?(segments = []) ?dk ?il_config ?tcp_config
 
   (* --- address book: segment, mask, gateway per interface address --- *)
   let subnet_of ipstr = Ndb.ipnet_entry db ~ip:ipstr in
-  let segment_for ipstr =
-    (* a routed world names its segments after the ipnet entries; the
-       single-segment worlds just hand every NIC the one wire *)
-    match Option.bind (subnet_of ipstr) (fun e -> Ndb.get e "ipnet") with
-    | Some netname -> (
-      match List.assoc_opt netname segments with
-      | Some seg -> Some seg
-      | None -> ether)
-    | None -> ether
-  in
   let mask_for ipstr =
     match Ndb.ipattr db ~ip:ipstr ~attr:"ipmask" with
     | Some m -> Inet.Ipaddr.of_string m
@@ -77,14 +70,14 @@ let create ?uname ?ether ?(segments = []) ?dk ?il_config ?tcp_config
   in
 
   (* --- Ethernet NICs: one IP stack per ip=/ether= pair --- *)
-  let pairs = pair_addrs (Ndb.get_all entry "ip") (Ndb.get_all entry "ether") in
+  let pairs = addrs entry in
   let nics =
     List.filter_map
       (fun (ipstr, ea) ->
-        match (ea, Option.bind ea (fun _ -> segment_for ipstr)) with
-        | Some ea, Some segment ->
+        match ea with
+        | Some ea ->
           let nic =
-            Netsim.Ether.attach segment (Netsim.Eaddr.of_string ea)
+            Netsim.Ether.attach (wire ipstr) (Netsim.Eaddr.of_string ea)
           in
           let port = Inet.Etherport.create eng nic in
           let addr = Inet.Ipaddr.of_string ipstr in
@@ -93,7 +86,7 @@ let create ?uname ?ether ?(segments = []) ?dk ?il_config ?tcp_config
               ~mask:(mask_for ipstr) port
           in
           Some (port, ipstack)
-        | _, _ -> None)
+        | None -> None)
       pairs
   in
   let tunnel_addrs =

@@ -30,10 +30,15 @@ type t = {
   cs : Cs.t;
 }
 
+val addrs : Ndb.entry -> (string * string option) list
+(** A machine entry's [ip=] attributes paired positionally with its
+    [ether=] attributes: each pair with an Ethernet address is a NIC;
+    addresses beyond the [ether=] list ride other media (a [medium=dk]
+    subnet reached through a Datakit tunnel). *)
+
 val create :
   ?uname:string ->
-  ?ether:Netsim.Ether.t ->
-  ?segments:(string * Netsim.Ether.t) list ->
+  wire:(string -> Netsim.Ether.t) ->
   ?dk:Dk.Switch.t ->
   ?il_config:Inet.Il.config ->
   ?tcp_config:Inet.Tcp.config ->
@@ -44,9 +49,9 @@ val create :
   Sim.Engine.t ->
   t
 (** Boot a host named [name].  Its database entry supplies addresses:
-    each [ip=]/[ether=] pair becomes a NIC — wired to the segment in
-    [segments] named by the address's [ipnet] entry, else to [ether] —
-    and [ip=] addresses beyond the [ether=] list become Datakit tunnel
+    each [ip=]/[ether=] pair becomes a NIC on the segment [wire] names
+    for its address (the world decides the wiring), and [ip=] addresses
+    beyond the [ether=] list become Datakit tunnel
     interfaces when their [ipnet] says [medium=dk]; [dk=] attaches the
     host to [dk]; the inherited [dns=] attribute selects the resolver's
     server.  Transports, DNS, and CS ride the first (primary) stack;

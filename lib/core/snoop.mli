@@ -10,12 +10,10 @@
 
 type t
 
-val default_addr : string
-(** The tap's station address, ["feeddefaced0"] — chosen to collide
-    with nothing a host would use. *)
-
 val start : ?addr:string -> Netsim.Ether.t -> t
-(** Attach the tap to a segment.
+(** Attach the tap to a segment.  [addr] is the tap's station address,
+    by default ["feeddefaced0"] — chosen to collide with nothing a host
+    would use.
     @raise Invalid_argument if [addr] is already on the segment. *)
 
 val stop : t -> unit

@@ -7,53 +7,63 @@ type t = {
   mutable hosts : (string * Host.t) list;
 }
 
-let create ?seed ?sched ?(ether_loss = 0.) ?(ether_bandwidth = 10e6) ~db () =
+(* One Ethernet segment per ipnet entry that holds a host NIC, named
+   after the entry; dk-medium subnets become tunnels over the one
+   Datakit switch instead.  An ipnet only other subnets inherit from
+   (no NIC of its own) gets no wire, so [ether] is the first segment
+   hosts actually share. *)
+let create ?seed ?sched ?(ether_loss = 0.) ?(ether_bandwidth = 10e6)
+    ?dk_bandwidth ~db () =
   let eng = Sim.Engine.create ?seed ?sched () in
-  {
-    eng;
-    ether =
-      Netsim.Ether.create ~bandwidth_bps:ether_bandwidth ~loss:ether_loss
-        ~name:"ether0" eng;
-    segments = [];
-    dk = Dk.Switch.create ~name:"dk" eng;
-    db;
-    hosts = [];
-  }
-
-(* A routed world: one Ethernet segment per ipnet entry (dk-medium
-   subnets become tunnels over the one Datakit switch instead). *)
-let routed ?seed ?sched ?(ether_bandwidth = 10e6) ?dk_bandwidth ~db () =
-  let eng = Sim.Engine.create ?seed ?sched () in
+  let segment name =
+    Netsim.Ether.create ~bandwidth_bps:ether_bandwidth ~loss:ether_loss ~name
+      eng
+  in
+  let nic_nets =
+    let subnet = Ndb.ipnet_lookup db in
+    List.concat_map
+      (fun e ->
+        if Ndb.get e "sys" = None then []
+        else
+          List.filter_map
+            (fun (ip, ea) ->
+              if ea = None then None
+              else Option.bind (subnet ip) (fun n -> Ndb.get n "ipnet"))
+            (Host.addrs e))
+      (Ndb.entries db)
+  in
   let segments =
     List.filter_map
       (fun e ->
         match Ndb.get e "ipnet" with
-        | Some netname when Ndb.get e "medium" <> Some "dk" ->
-          Some
-            ( netname,
-              Netsim.Ether.create ~bandwidth_bps:ether_bandwidth ~name:netname
-                eng )
+        | Some net
+          when Ndb.get e "medium" <> Some "dk" && List.mem net nic_nets ->
+          Some (net, segment net)
         | _ -> None)
       (Ndb.entries db)
   in
-  let ether =
-    match segments with
-    | (_, seg) :: _ -> seg
-    | [] -> Netsim.Ether.create ~bandwidth_bps:ether_bandwidth ~name:"ether0" eng
-  in
   {
     eng;
-    ether;
+    ether =
+      (match segments with (_, seg) :: _ -> seg | [] -> segment "ether0");
     segments;
     dk = Dk.Switch.create ?bandwidth_bps:dk_bandwidth ~name:"dk" eng;
     db;
     hosts = [];
   }
 
+let routed = create
+
+(* the wire a NIC joins: its subnet's segment, else the first one *)
+let wire t ip =
+  match Option.bind (Ndb.ipnet_entry t.db ~ip) (fun e -> Ndb.get e "ipnet") with
+  | Some net -> Option.value (List.assoc_opt net t.segments) ~default:t.ether
+  | None -> t.ether
+
 let add_host ?il_config ?tcp_config ?tcpcc_config ?dns_server t name =
   let h =
     Host.create ?il_config ?tcp_config ?tcpcc_config ?dns_server
-      ~ether:t.ether ~segments:t.segments ~dk:t.dk ~db:t.db ~name t.eng
+      ~wire:(wire t) ~dk:t.dk ~db:t.db ~name t.eng
   in
   t.hosts <- (name, h) :: t.hosts;
   h
@@ -67,12 +77,13 @@ let segment_faults t name =
 
 let dk_faults t = Dk.Switch.faults t.dk
 
-(* Fill every gateway's route table from the topology itself: breadth
-   first over the gateway graph (two gateways are adjacent when they
-   have interfaces on the same subnet), each db subnet a gateway is not
-   on gets a route via the first hop toward the nearest gateway that
-   is.  Deterministic: gateways sort by name, neighbours explore in
-   that order. *)
+(* Fill the route table of every host with no default route (every
+   gateway, and any host whose subnet names no ipgw) from the topology
+   itself: breadth first over the gateway graph (two gateways are
+   adjacent when they have interfaces on the same subnet), each db
+   subnet the host is not on gets a route via the first hop toward the
+   nearest gateway that is.  Deterministic: gateways sort by name,
+   neighbours explore in that order. *)
 let autoroute t =
   let gateways =
     List.filter_map
@@ -126,50 +137,57 @@ let autoroute t =
         | _, _ -> None)
       (Ndb.entries t.db)
   in
-  Array.iteri
-    (fun src (_, node) ->
-      (* BFS: first_hop.(k) = the neighbour address src forwards through
-         to reach gateway k *)
-      let first_hop = Array.make n_gw None in
-      let visited = Array.make n_gw false in
-      visited.(src) <- true;
-      let order = ref [] in
-      let q = Queue.create () in
-      Queue.add src q;
-      while not (Queue.is_empty q) do
-        let u = Queue.pop q in
-        Array.iteri
-          (fun v (_, vnode) ->
-            if not visited.(v) then
-              match shared_addr (snd gws.(u)) vnode with
-              | Some addr ->
-                visited.(v) <- true;
-                first_hop.(v) <-
-                  (if u = src then Some addr else first_hop.(u));
-                order := v :: !order;
-                Queue.add v q
+  let has_default node =
+    List.exists
+      (fun r -> Inet.Ipaddr.equal r.Route.Table.r_mask Inet.Ipaddr.any)
+      (Route.Table.entries (Route.table node))
+  in
+  List.iter
+    (fun (_, h) ->
+      match h.Host.node with
+      | Some node when not (has_default node) ->
+        (* BFS: first_hop.(k) = the neighbour address node forwards
+           through to reach gateway k; node itself is never a hop *)
+        let first_hop = Array.make n_gw None in
+        let order = ref [] in
+        let q = Queue.create () in
+        let explore u_node via =
+          Array.iteri
+            (fun v (_, vnode) ->
+              if Option.is_none first_hop.(v) && vnode != node then
+                match shared_addr u_node vnode with
+                | Some addr ->
+                  first_hop.(v) <- Some (Option.value via ~default:addr);
+                  order := v :: !order;
+                  Queue.add v q
+                | None -> ())
+            gws
+        in
+        explore node None;
+        while not (Queue.is_empty q) do
+          let u = Queue.pop q in
+          explore (snd gws.(u)) first_hop.(u)
+        done;
+        let order = List.rev !order in
+        List.iter
+          (fun (net, mask) ->
+            if not (on_subnet node ~net ~mask) then
+              (* nearest reached gateway on that subnet wins *)
+              match
+                List.find_opt
+                  (fun k -> on_subnet (snd gws.(k)) ~net ~mask)
+                  order
+              with
+              | Some k ->
+                Option.iter
+                  (fun hop ->
+                    Route.Table.add (Route.table node) ~dest:net ~mask
+                      (Route.Table.Via hop))
+                  first_hop.(k)
               | None -> ())
-          gws
-      done;
-      let order = List.rev !order in
-      List.iter
-        (fun (net, mask) ->
-          if not (on_subnet node ~net ~mask) then
-            (* nearest reached gateway on that subnet wins *)
-            match
-              List.find_opt
-                (fun k -> on_subnet (snd gws.(k)) ~net ~mask)
-                order
-            with
-            | Some k -> (
-              match first_hop.(k) with
-              | Some hop ->
-                Route.Table.add (Route.table node) ~dest:net ~mask
-                  (Route.Table.Via hop)
-              | None -> ())
-            | None -> ())
-        subnets)
-    gws
+          subnets
+      | _ -> ())
+    t.hosts
 
 (* ---- the chain/union test cluster ---- *)
 
@@ -274,7 +292,7 @@ type fleet = {
 let fleet ?seed ?sched ?(racks = 2) ?(terminals = 4) ?rack_config
     ?(tap = fun _rack tr -> tr) ?ether_bandwidth () =
   let db = Ndb.of_string (fleet_ndb ~racks ~terminals ()) in
-  let w = routed ?seed ?sched ?ether_bandwidth ~db () in
+  let w = create ?seed ?sched ?ether_bandwidth ~db () in
   let origin = add_host w fleet_origin in
   (* every terminal boots the same staged file set; size it from the
      fleet's own database *)
@@ -312,21 +330,10 @@ let fleet ?seed ?sched ?(racks = 2) ?(terminals = 4) ?rack_config
            List.init terminals (fun i -> (rack_sys k, terminal_sys k i))))
   in
   List.iter (fun (_, tname) -> ignore (add_host w tname)) terms;
+  (* the spine has no single gateway — one per rack — so the origin
+     has no default route; autoroute gives it each rack subnet via that
+     rack's spine address *)
   autoroute w;
-  (* the spine has no single gateway — one per rack — so the origin's
-     inherited-ipgw shortcut cannot apply; it routes each rack subnet
-     via that rack's spine address explicitly *)
-  (match origin.Host.node with
-  | Some n ->
-    List.iteri
-      (fun k _ ->
-        Route.Table.add (Route.table n)
-          ~dest:(Inet.Ipaddr.of_string (Printf.sprintf "10.%d.0.0" (30 + k)))
-          ~mask:(Inet.Ipaddr.of_string "255.255.0.0")
-          (Route.Table.Via
-             (Inet.Ipaddr.of_string (Printf.sprintf "10.90.0.%d" (100 + k)))))
-      rack_names
-  | None -> ());
   {
     f_world = w;
     f_origin = origin;

@@ -10,10 +10,10 @@
 type t = {
   eng : Sim.Engine.t;
   ether : Netsim.Ether.t;
-      (** flat worlds: the one wire; routed worlds: the first segment *)
+      (** the first segment, or ["ether0"] when [segments] is empty *)
   segments : (string * Netsim.Ether.t) list;
-      (** routed worlds: one Ethernet per non-dk [ipnet] entry, keyed by
-          the subnet's name *)
+      (** one Ethernet per non-dk [ipnet] entry holding a host NIC, in
+          database order, keyed by the subnet's name *)
   dk : Dk.Switch.t;
   db : Ndb.t;
   mutable hosts : (string * Host.t) list;
@@ -24,33 +24,41 @@ val create :
   ?sched:Sim.Sched.policy ->
   ?ether_loss:float ->
   ?ether_bandwidth:float ->
+  ?dk_bandwidth:float ->
   db:Ndb.t ->
   unit ->
   t
-(** Fresh media + engine; no hosts yet.  [sched] picks the engine's
-    same-time tie-break policy (default FIFO) — schedule exploration
-    builds whole worlds under adversarial orderings through this. *)
+(** Fresh media + engine, wired from [db]; no hosts yet.  Every
+    [ipnet] entry that holds at least one host NIC address gets an
+    Ethernet segment named after it, except [medium=dk] subnets, which
+    gateway hosts reach as IP tunnels over the one Datakit switch.  An
+    [ipnet] that only lends its mask to others gets no wire.  Hosts
+    added to this world wire each NIC to the segment its address
+    belongs to (else to [ether]).  [ether_loss] and [ether_bandwidth]
+    apply to every segment.  [sched] picks the engine's same-time
+    tie-break policy (default FIFO) — schedule exploration builds whole
+    worlds under adversarial orderings through this. *)
 
 val routed :
   ?seed:int ->
   ?sched:Sim.Sched.policy ->
+  ?ether_loss:float ->
   ?ether_bandwidth:float ->
   ?dk_bandwidth:float ->
   db:Ndb.t ->
   unit ->
   t
-(** A multi-segment internet: one Ethernet segment per [ipnet] entry in
-    [db] (named after it), except [medium=dk] subnets, which gateway
-    hosts reach as IP tunnels over the Datakit switch.  Hosts added to
-    this world wire each NIC to the segment its address belongs to. *)
+(** Another name for {!create}. *)
 
 val autoroute : t -> unit
-(** Fill every gateway's route table from the booted topology: breadth
-    first over the gateway graph (adjacent = interfaces on the same
-    subnet), each subnet a gateway is not on gets a route via the first
-    hop toward the nearest gateway that is.  Call after the last
-    {!add_host}.  Leaf hosts need nothing — their inherited [ipgw]
-    default route points at their segment's gateway. *)
+(** Fill the route table of every host with no default route from the
+    booted topology: breadth first over the gateway graph (gateways are
+    hosts with two or more interfaces; adjacent = interfaces on the
+    same subnet), each subnet the host is not on gets a route via the
+    first hop toward the nearest gateway that is.  That covers every
+    gateway and every host whose subnet names no [ipgw]; hosts with an
+    inherited [ipgw] default route are left alone.  Call after the last
+    {!add_host}; with no gateway it adds nothing. *)
 
 val add_host :
   ?il_config:Inet.Il.config ->
@@ -78,14 +86,10 @@ val segment_faults : t -> string -> Netsim.Fault.t
 val dk_faults : t -> Netsim.Fault.t
 (** The Datakit switch's fault schedule. *)
 
-val cluster_ndb : int -> string
-(** An ndb describing [n] identical hosts [c0 .. c(n-1)] on one flat
-    subnet ([10.20.0.0/24]), each speaking IL, with [exportfs] and
-    [echo] services registered. *)
-
 val cluster : ?seed:int -> ?sched:Sim.Sched.policy -> ?n:int -> unit -> t
-(** A booted cluster of [n] (default 4) hosts for the distributed
-    name-space scenarios: every host serves exportfs, carries seed
+(** A booted cluster of [n] (default 4) IL hosts [c0 .. c(n-1)] on one
+    subnet ([10.20.0.0/24]) for the distributed name-space scenarios:
+    every host serves exportfs, carries seed
     files [/srv/motd] ("hello from cN") and [/srv/cN] ("cN"), and has
     empty [/n/next] and [/u] directories ready to be mount points for
     import chains and union mounts. *)
@@ -100,14 +104,8 @@ val host_faults : t -> string -> Netsim.Fault.t
 val fleet_origin : string
 (** ["origin"], the fleet's one file server. *)
 
-val rack_sys : int -> string
-(** ["rkNN"], rack [k]'s gateway-plus-cache host. *)
-
 val terminal_sys : int -> int -> string
 (** ["tmNN-III"], terminal [i] of rack [k]. *)
-
-val rack_net : int -> string
-(** ["rackN"], rack [k]'s leaf subnet (and segment) name. *)
 
 val fleet_ndb : ?racks:int -> ?terminals:int -> unit -> string
 (** The fleet in ndb form: a [spine] subnet (10.90/16) carrying the

@@ -30,7 +30,6 @@ module Switch = struct
     l_chans : (int, cend) Hashtbl.t;
     mutable l_next_chan : int;
     mutable l_busy_until : float;  (* uplink serialization *)
-    l_fault : Fault.t;
     l_stats : stats;
   }
 
@@ -81,7 +80,6 @@ module Switch = struct
         l_chans = Hashtbl.create 17;
         l_next_chan = 1;
         l_busy_until = 0.;
-        l_fault = Fault.create ();
         l_stats =
           {
             cells_in = 0;
@@ -96,7 +94,6 @@ module Switch = struct
     line
 
   let line_name l = l.l_name
-  let line_faults l = l.l_fault
   let line_stats l = l.l_stats
 
   let alloc_end line =
@@ -183,19 +180,9 @@ module Switch = struct
         | Data_ _ | Ctl_ _ ->
           let rng = Sim.Engine.random sw.eng in
           let payload = cell_payload cell in
-          let v =
-            if Fault.active sw.sw_fault then
-              Fault.decide sw.sw_fault rng ~now payload
-            else Fault.pass
-          in
-          let v =
-            if Fault.active line.l_fault then
-              Fault.combine v (Fault.decide line.l_fault rng ~now payload)
-            else v
-          in
-          if Fault.active dst.l_fault then
-            Fault.combine v (Fault.decide dst.l_fault rng ~now payload)
-          else v
+          if Fault.active sw.sw_fault then
+            Fault.decide sw.sw_fault rng ~now payload
+          else Fault.pass
       in
       (match Sim.Engine.obs sw.eng with
       | None -> ()

@@ -56,11 +56,6 @@ module Switch : sig
 
   val line_name : line -> string
 
-  val line_faults : line -> Netsim.Fault.t
-  (** This line's own fault schedule, applied (after the switch's and
-      the sender's) to every cell it would receive or send —
-      partitioning one line models pulling its fiber. *)
-
   val line_stats : line -> stats
 end
 

@@ -112,9 +112,6 @@ let make sources =
 let of_string text =
   make [ { src_path = None; src_mtime = 0.; src_entries = parse_string text } ]
 
-let of_entries es =
-  make [ { src_path = None; src_mtime = 0.; src_entries = es } ]
-
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
@@ -245,10 +242,6 @@ let fresh_index t attr =
         Some i
       | None -> None))
 
-let hashed_attrs t =
-  List.sort_uniq compare
-    (Hashtbl.fold (fun a _ acc -> a :: acc) t.indexes [])
-
 (* ---- searching ---- *)
 
 let entry_matches e attr value =
@@ -375,42 +368,47 @@ let masklen m =
   in
   pop 0 m
 
-let ipnet_entry t ~ip =
-  match ip_of_string ip with
-  | None -> None
-  | Some ipn ->
-    let nets =
-      List.filter_map
-        (fun e ->
-          match (get e "ipnet", Option.bind (get e "ip") ip_of_string) with
-          | Some _, Some net -> Some (e, net)
-          | _, _ -> None)
-        (Array.to_list t.all)
-    in
-    let mask_of e net =
-      match Option.bind (get e "ipmask") ip_of_string with
-      | Some m -> m
-      | None -> (
-        let cmask = class_mask net in
-        let cnet = Int32.logand net cmask in
-        match
-          List.find_opt (fun (_, n) -> n = cnet && n <> net) nets
-        with
-        | Some (parent, _) -> (
-          match Option.bind (get parent "ipmask") ip_of_string with
-          | Some m -> m
-          | None -> cmask)
-        | None -> cmask)
-    in
+(* every ipnet entry with its network address and the mask it covers *)
+let ipnets t =
+  let nets =
     List.filter_map
-      (fun (e, net) ->
-        let m = mask_of e net in
-        if Int32.logand ipn m = net then Some (masklen m, e) else None)
-      nets
-    |> List.sort (fun (a, _) (b, _) -> compare b a)
-    |> function
-    | (_, e) :: _ -> Some e
-    | [] -> None
+      (fun e ->
+        match (get e "ipnet", Option.bind (get e "ip") ip_of_string) with
+        | Some _, Some net -> Some (e, net)
+        | _, _ -> None)
+      (Array.to_list t.all)
+  in
+  let mask_of e net =
+    match Option.bind (get e "ipmask") ip_of_string with
+    | Some m -> m
+    | None -> (
+      let cmask = class_mask net in
+      let cnet = Int32.logand net cmask in
+      match List.find_opt (fun (_, n) -> n = cnet && n <> net) nets with
+      | Some (parent, _) -> (
+        match Option.bind (get parent "ipmask") ip_of_string with
+        | Some m -> m
+        | None -> cmask)
+      | None -> cmask)
+  in
+  List.map (fun (e, net) -> (e, net, mask_of e net)) nets
+
+let covering nets ip =
+  Option.bind (ip_of_string ip) (fun ipn ->
+      List.filter_map
+        (fun (e, net, m) ->
+          if Int32.logand ipn m = net then Some (masklen m, e) else None)
+        nets
+      |> List.sort (fun (a, _) (b, _) -> compare b a)
+      |> function
+      | (_, e) :: _ -> Some e
+      | [] -> None)
+
+let ipnet_entry t ~ip = covering (ipnets t) ip
+
+let ipnet_lookup t =
+  let nets = ipnets t in
+  fun ip -> covering nets ip
 
 (* Datakit networks inherit through [dknet=<prefix>] entries: a system
    with dk=nj/astro/helix belongs to dknet=nj/astro.  Longest matching

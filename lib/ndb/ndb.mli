@@ -30,8 +30,6 @@ val parse_string : string -> entry list
 val of_string : string -> t
 (** An in-memory, single-file database (tests, generated worlds). *)
 
-val of_entries : entry list -> t
-
 val open_files : string list -> t
 (** A database backed by real files, in search order — conventionally
     [/lib/ndb/local] then [/lib/ndb/global].
@@ -62,8 +60,6 @@ val write_hash : t -> attr:string -> unit
     database (in-memory databases index in memory).  The index records
     the master's modification time. *)
 
-val hashed_attrs : t -> string list
-
 type lookup_stats = {
   mutable hash_lookups : int;  (** searches answered from an index *)
   mutable linear_scans : int;  (** searches that walked the file *)
@@ -86,6 +82,11 @@ val ipnet_entry : t -> ip:string -> entry option
     classful network entry containing it, or the class mask.  This is
     how the routed-topology builder maps an interface address to its
     segment, mask, gateway, and medium. *)
+
+val ipnet_lookup : t -> string -> entry option
+(** [ipnet_lookup t] derives the subnet table once and answers
+    {!ipnet_entry} from it for each address — for callers that look up
+    many addresses in a database that does not change meanwhile. *)
 
 val sysattr : t -> sys:string -> attr:string -> string option
 (** Like {!ipattr} but starting from a system name ([sys=] or [dom=]);

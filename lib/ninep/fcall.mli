@@ -39,9 +39,6 @@ val qid_is_dir : qid -> bool
 (** Open/create modes. *)
 type mode = Oread | Owrite | Ordwr | Oexec
 
-val mode_trunc : int
-(** OR of the wire mode byte meaning truncate (0x10). *)
-
 type dir = {
   d_name : string;
   d_uid : string;

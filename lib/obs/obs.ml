@@ -371,8 +371,6 @@ module Prof = struct
       r.r_layers;
     Buffer.add_string b "]}";
     Buffer.contents b
-
-  let to_json p = report_json (report p)
 end
 
 module Series = struct

@@ -181,9 +181,6 @@ module Prof : sig
 
   val report_json : report -> string
   (** One-line JSON object — the [perf] member of the bench files. *)
-
-  val to_json : t -> string
-  (** [report_json (report t)]. *)
 end
 
 module Series : sig

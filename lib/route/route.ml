@@ -126,7 +126,6 @@ let table t = t.table
 let stats t = t.stats
 let ifaces t = t.ifaces
 let set_deliver t fn = t.deliver <- Some fn
-let set_forwarding t b = t.forwarding <- b
 let forwarding t = t.forwarding
 
 let local t dst =

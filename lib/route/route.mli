@@ -90,9 +90,6 @@ val set_deliver : t -> (string -> unit) -> unit
 
 val forwarding : t -> bool
 
-val set_forwarding : t -> bool -> unit
-(** Forwarding turns on automatically at the second interface; this
-    overrides (e.g. to build a multi-homed non-gateway). *)
 
 val add_iface : t -> iface -> unit
 (** Register an interface and its on-link route. *)

@@ -36,10 +36,6 @@ module Sched : sig
 
   val of_string : string -> policy option
   (** Inverse of {!to_string} (also accepts ["lifo"]). *)
-
-  val mix : int -> int -> int
-  (** [mix seed serial] — the deterministic rank hash behind
-      [Shuffle].  Exposed for tests. *)
 end
 
 module Engine : sig

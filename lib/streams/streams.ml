@@ -37,7 +37,6 @@ let null_device name =
 let registry : (string, unit -> module_impl) Hashtbl.t = Hashtbl.create 17
 
 let register_module name factory = Hashtbl.replace registry name factory
-let module_registered name = Hashtbl.mem registry name
 
 let create ?(qlimit = 64 * 1024) eng device =
   {
@@ -50,7 +49,6 @@ let create ?(qlimit = 64 * 1024) eng device =
   }
 
 let engine s = s.eng
-let device_name s = s.device.dev_name
 let closed s = s.is_closed
 
 let pass_up sl b =

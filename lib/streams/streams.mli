@@ -44,15 +44,12 @@ val register_module : string -> (unit -> module_impl) -> unit
     per instance so closures can hold per-instance state.
     Re-registering a name replaces it. *)
 
-val module_registered : string -> bool
-
 val create : ?qlimit:int -> Sim.Engine.t -> device -> stream
 (** A stream with no processing modules: writes go straight to the
     device, device input goes straight to the read queue.  [qlimit]
     bounds the top read queue in bytes (default 64 KiB). *)
 
 val engine : stream -> Sim.Engine.t
-val device_name : stream -> string
 
 (** {1 Process end} *)
 

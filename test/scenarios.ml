@@ -434,7 +434,7 @@ let routed_import =
        mid-read, errors cleanly, redial works after heal"
     (fun ~sched ~trace ->
       let db = Ndb.of_string routed_import_ndb in
-      let w = P9net.World.routed ~sched ~db () in
+      let w = P9net.World.create ~sched ~db () in
       let eng = w.P9net.World.eng in
       let tr =
         match trace with

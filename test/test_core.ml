@@ -639,6 +639,73 @@ let test_ls_l_conn_dir () =
         listing;
       Vfs.Env.close env fd)
 
+(* ---- the world builder: wiring and routes come from the ndb ---- *)
+
+let test_world_bell_labs_wiring () =
+  let w = P9net.World.bell_labs () in
+  (* mh-astro-net only lends unix-room its mask: no NIC, no wire *)
+  Alcotest.(check (list string)) "segments" [ "unix-room" ]
+    (List.map fst w.P9net.World.segments);
+  (* attach refuses an address already on the segment, so a refusal
+     proves the host's NIC is there *)
+  let nics =
+    List.concat_map
+      (fun (name, _) ->
+        match Ndb.sys_entry w.P9net.World.db name with
+        | Some e ->
+          List.filter_map (fun (_, ea) -> ea) (P9net.Host.addrs e)
+        | None -> [])
+      w.P9net.World.hosts
+  in
+  Alcotest.(check int) "helix, musca, bootes and ai have NICs" 4
+    (List.length nics);
+  List.iter
+    (fun ea ->
+      Alcotest.(check bool) (ea ^ " is on ether") true
+        (match
+           Netsim.Ether.attach w.P9net.World.ether (Netsim.Eaddr.of_string ea)
+         with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    nics
+
+let test_world_subnetted_segments () =
+  let db =
+    Ndb.of_string (Genndb.subnetted ~leaves:4 ~clients_per_leaf:1 ())
+  in
+  let w = P9net.World.create ~db () in
+  Alcotest.(check (list string)) "one segment per non-dk ipnet, db order"
+    [ "leaf1"; "leaf2"; "leaf3"; "leaf4"; "bbl"; "bbr"; "srv" ]
+    (List.map fst w.P9net.World.segments)
+
+let test_world_fleet_origin_routes () =
+  let fl = P9net.World.fleet ~racks:3 ~terminals:1 () in
+  let routes =
+    match fl.P9net.World.f_origin.P9net.Host.node with
+    | Some n ->
+      List.filter_map
+        (fun r ->
+          match r.Route.Table.r_target with
+          | Route.Table.Via a ->
+            Some
+              ( Inet.Ipaddr.to_string r.Route.Table.r_dest,
+                Inet.Ipaddr.to_string r.Route.Table.r_mask,
+                Inet.Ipaddr.to_string a )
+          | Route.Table.Onlink _ | Route.Table.Blackhole -> None)
+        (Route.Table.entries (Route.table n))
+    | None -> Alcotest.fail "the origin has no routing node"
+  in
+  (* the spine names no ipgw, so the origin has no default route:
+     autoroute reaches each rack through its gateway's spine address *)
+  Alcotest.(check (list (triple string string string)))
+    "each rack subnet via its spine address, in rack order"
+    [
+      ("10.30.0.0", "255.255.0.0", "10.90.0.100");
+      ("10.31.0.0", "255.255.0.0", "10.90.0.101");
+      ("10.32.0.0", "255.255.0.0", "10.90.0.102");
+    ]
+    routes
+
 let () =
   Alcotest.run "core"
     [
@@ -654,6 +721,15 @@ let () =
             test_cs_dk_only_terminal;
           Alcotest.test_case "/net/cs file" `Quick test_cs_file_interface;
           Alcotest.test_case "dns fallback" `Quick test_cs_dns_fallback;
+        ] );
+      ( "world",
+        [
+          Alcotest.test_case "bell_labs wiring" `Quick
+            test_world_bell_labs_wiring;
+          Alcotest.test_case "subnetted segments" `Quick
+            test_world_subnetted_segments;
+          Alcotest.test_case "fleet origin routes" `Quick
+            test_world_fleet_origin_routes;
         ] );
       ( "netdev",
         [

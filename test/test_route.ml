@@ -132,6 +132,14 @@ let test_ndb_ipnet_resolution () =
   Alcotest.(check string) "server subnet" "srv" (net_of "10.200.0.9");
   Alcotest.(check string) "datakit transit" "dkt" (net_of "10.255.0.1");
   Alcotest.(check string) "outside every subnet" "none" (net_of "11.1.1.1");
+  (* the batch form answers exactly as the one-shot lookup *)
+  let lookup = Ndb.ipnet_lookup db in
+  List.iter
+    (fun ip ->
+      Alcotest.(check bool) ("ipnet_lookup agrees on " ^ ip) true
+        (lookup ip = Ndb.ipnet_entry db ~ip))
+    [ "10.3.1.2"; "10.1.0.1"; "10.100.0.2"; "10.200.0.9"; "10.255.0.1";
+      "11.1.1.1"; "not-an-ip" ];
   (* the gateway and medium attributes ride the subnet entry *)
   (match Ndb.ipnet_entry db ~ip:"10.3.1.2" with
   | Some e ->
@@ -148,7 +156,7 @@ let test_ndb_ipnet_resolution () =
 
 let small_routed ?seed () =
   let db = Ndb.of_string (Genndb.subnetted ~leaves:2 ~clients_per_leaf:1 ()) in
-  let w = P9net.World.routed ?seed ~db () in
+  let w = P9net.World.create ?seed ~db () in
   let gws =
     List.map (P9net.World.add_host w) [ "gw01"; "gw02"; "gwcorel"; "gwcorer" ]
   in

@@ -103,8 +103,8 @@ fleet-smoke:
 # reproduce each bench/golden/ JSON byte for byte once the one
 # wall-clock perf line is stripped.  Each layer's minor words per event
 # must also stay within 5% of its cap in bench/golden/perf_budget.json
-# (swarm, routed and bootstorm; the words are exact for a fixed binary,
-# so this is a hard gate, unlike the events/s warning).  Fails if a golden file
+# (every golden bench but table1; the words are exact for a fixed
+# binary, so this is a hard gate, unlike the events/s warning).  Fails if a golden file
 # has no registered bench, a golden bench has no file, or the budget
 # names a bench, report or layer that has no report.
 bench-guard:

@@ -51,6 +51,7 @@ type run = {
   r_wire_bytes : int;
   r_elapsed : float;  (* virtual seconds to finish the replay *)
   r_cache : Cfs.t option;
+  r_perf : Obs.Prof.report;  (* wall clock; never in the JSON *)
 }
 
 let split_path p =
@@ -75,6 +76,8 @@ let replay_trace client root trace =
 
 let replay ~cached ~seed ~baud =
   let eng = Sim.Engine.create ~seed () in
+  let prof = Obs.Prof.create ~clock:Unix.gettimeofday () in
+  Sim.Engine.attach_prof eng prof;
   let term_end, srv_end =
     Netsim.Serial.create_pair ~baud ~name:"bootline" eng
   in
@@ -106,6 +109,7 @@ let replay ~cached ~seed ~baud =
     r_wire_bytes = !wire;
     r_elapsed = !finish;
     r_cache = cache;
+    r_perf = Obs.Prof.report prof;
   }
 
 let json ~seed ~baud uncached cached =
@@ -144,6 +148,7 @@ type result = {
   res_cached_rts : int;
   res_uncached_elapsed : float;
   res_cached_elapsed : float;
+  res_perf : (string * Obs.Prof.report) list;
 }
 
 let run ?(seed = 9) ?(baud = 9600) () =
@@ -155,4 +160,5 @@ let run ?(seed = 9) ?(baud = 9600) () =
     res_cached_rts = cached.r_round_trips;
     res_uncached_elapsed = uncached.r_elapsed;
     res_cached_elapsed = cached.r_elapsed;
+    res_perf = [ ("uncached", uncached.r_perf); ("cached", cached.r_perf) ];
   }

@@ -661,7 +661,7 @@ let cfs () =
   let (r : Cfs_bench.result) = Cfs_bench.run () in
   {
     json = r.res_json;
-    perf = [];
+    perf = r.res_perf;
     gates =
       [
         gate
@@ -1012,6 +1012,13 @@ let bechamel_tests () =
       ()
   in
   let packet = String.make 1500 'p' in
+  (* an engine holding 20k pending events spread over its future; each
+     run pushes one event due before all of them and pops it *)
+  let queue = Sim.Engine.create () in
+  let rng = Random.State.make [| 17 |] in
+  for _ = 1 to 20_000 do
+    Sim.Engine.at queue (1e6 +. Random.State.float rng 1e6) ignore
+  done;
   (* one Test.make per table/figure, plus the hot paths they exercise *)
   Test.make_grouped ~name:"plan9net"
     [
@@ -1035,6 +1042,10 @@ let bechamel_tests () =
         (Staged.stage (fun () -> ignore (Ninep.Fcall.decode encoded)));
       Test.make ~name:"il:checksum-1500"
         (Staged.stage (fun () -> ignore (Inet.Chksum.checksum packet)));
+      Test.make ~name:"sim:event-queue-20k"
+        (Staged.stage (fun () ->
+             Sim.Engine.after queue 1e-3 ignore;
+             ignore (Sim.Engine.step queue)));
       Test.make ~name:"cs:translate"
         (Staged.stage (fun () ->
              ignore (P9net.Cs.translate cs "net!helix!9fs")));

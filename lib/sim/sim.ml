@@ -42,6 +42,12 @@ module Sched = struct
     let z = logxor z (shift_right_logical z 31) in
     (* keep ranks well below max_int so deferred entries always lose *)
     to_int (shift_right_logical z 34)
+
+  let rank policy serial =
+    match policy with
+    | Fifo -> 0
+    | Shuffle seed -> mix seed serial
+    | Adversarial -> -serial
 end
 
 (* Scheduling class: [Deferred] entries are polling/yield rescheduling
@@ -53,74 +59,150 @@ end
    byte for byte. *)
 type sched_cls = Normal | Deferred
 
-(* Event queue: a binary min-heap ordered by (time, rank, serial).  The
+(* Event queue: a 4-ary min-heap ordered by (time, rank, serial).  The
    rank is the policy's tie-break key (0 under Fifo, so same-time events
    fall through to serial order = FIFO, which is what the default
-   deterministic schedule requires). *)
+   deterministic schedule requires).  The triple is a total order, so
+   the pop order does not depend on the heap's shape.
+
+   The heap is flat.  Position [i] holds its key in [times.(i)] (an
+   unboxed float array), [ranks.(i)] and [serials.(i)], and in
+   [slots.(i)] the slot where its entry sits in [ents].  An entry stays
+   in its slot from push to pop, so sifting moves only floats and
+   immediates: it never reads an entry and never pays the write
+   barrier.  The free slots wait in [slots] past the heap's end. *)
 module Heap = struct
   type entry = {
     time : float;
-    rank : int;  (* policy tie-break within an equal-time batch *)
-    serial : int;
     mutable live : bool;  (* cancelled entries are skipped on pop *)
     label : string;  (* handler class, for the wall-clock profiler *)
     fn : unit -> unit;
   }
 
-  type t = { mutable a : entry array; mutable n : int }
+  type t = {
+    mutable times : float array;
+    mutable ranks : int array;
+    mutable serials : int array;
+    mutable slots : int array;  (* heap position -> slot in [ents] *)
+    mutable ents : entry array;  (* slot -> entry *)
+    mutable n : int;  (* entries queued, cancelled ones included *)
+  }
 
-  let dummy =
-    { time = 0.; rank = 0; serial = 0; live = false; label = ""; fn = ignore }
+  let dummy = { time = 0.; live = false; label = ""; fn = ignore }
 
-  let create () = { a = Array.make 64 dummy; n = 0 }
+  let create () =
+    let cap = 64 in
+    {
+      times = Array.make cap 0.;
+      ranks = Array.make cap 0;
+      serials = Array.make cap 0;
+      slots = Array.init cap Fun.id;
+      ents = Array.make cap dummy;
+      n = 0;
+    }
 
-  let before x y =
-    x.time < y.time
-    || (x.time = y.time
-       && (x.rank < y.rank || (x.rank = y.rank && x.serial < y.serial)))
-
-  let push h e =
-    if h.n = Array.length h.a then begin
-      let a = Array.make (2 * h.n) dummy in
-      Array.blit h.a 0 a 0 h.n;
-      h.a <- a
-    end;
-    let rec up i =
-      if i > 0 then begin
-        let p = (i - 1) / 2 in
-        if before h.a.(i) h.a.(p) then begin
-          let t = h.a.(i) in
-          h.a.(i) <- h.a.(p);
-          h.a.(p) <- t;
-          up p
-        end
-      end
+  (* called only when every slot is taken, so [n] is the capacity *)
+  let grow h =
+    let cap = h.n and cap' = 2 * h.n in
+    let widen a fill =
+      let a' = Array.make cap' fill in
+      Array.blit a 0 a' 0 cap;
+      a'
     in
-    h.a.(h.n) <- e;
-    h.n <- h.n + 1;
-    up (h.n - 1)
+    h.times <- widen h.times 0.;
+    h.ranks <- widen h.ranks 0;
+    h.serials <- widen h.serials 0;
+    h.slots <- Array.init cap' (fun i -> if i < cap then h.slots.(i) else i);
+    h.ents <- widen h.ents dummy
 
+  (* whether position [i] sorts before position [j].  It takes indices,
+     not keys: a float argument to a helper that is not inlined would be
+     boxed. *)
+  let[@inline] before h i j =
+    let ti = Array.unsafe_get h.times i and tj = Array.unsafe_get h.times j in
+    ti < tj
+    || ti = tj
+       &&
+       let ri = Array.unsafe_get h.ranks i
+       and rj = Array.unsafe_get h.ranks j in
+       ri < rj
+       || ri = rj
+          && Array.unsafe_get h.serials i < Array.unsafe_get h.serials j
+
+  (* copy position [src]'s key and slot to position [dst] *)
+  let[@inline] move h ~src ~dst =
+    Array.unsafe_set h.times dst (Array.unsafe_get h.times src);
+    Array.unsafe_set h.ranks dst (Array.unsafe_get h.ranks src);
+    Array.unsafe_set h.serials dst (Array.unsafe_get h.serials src);
+    Array.unsafe_set h.slots dst (Array.unsafe_get h.slots src)
+
+  (* the entry with the least key; [n > 0] *)
+  let top h = h.ents.(h.slots.(0))
+
+  let push h e ~rank ~serial =
+    if h.n = Array.length h.slots then grow h;
+    let slot = h.slots.(h.n) (* the first free one *) in
+    h.ents.(slot) <- e;
+    (* a hole climbs from one past the end while its parent sorts after
+       the new key, which then fills it *)
+    let time = e.time in
+    let i = ref h.n in
+    h.n <- h.n + 1;
+    let climbing = ref true in
+    while !climbing && !i > 0 do
+      let p = (!i - 1) lsr 2 in
+      let tp = Array.unsafe_get h.times p in
+      if
+        time < tp
+        || time = tp
+           &&
+           let rp = Array.unsafe_get h.ranks p in
+           rank < rp || (rank = rp && serial < Array.unsafe_get h.serials p)
+      then begin
+        move h ~src:p ~dst:!i;
+        i := p
+      end
+      else climbing := false
+    done;
+    let i = !i in
+    h.times.(i) <- time;
+    h.ranks.(i) <- rank;
+    h.serials.(i) <- serial;
+    h.slots.(i) <- slot
+
+  (* remove and return the entry with the least key; [n > 0].  The last
+     position's key stays where it is, one past the shrunk heap, while a
+     hole sinks from the root to where that key belongs; then the
+     popped entry's slot joins the free ones. *)
   let pop h =
-    if h.n = 0 then None
-    else begin
-      let top = h.a.(0) in
-      h.n <- h.n - 1;
-      h.a.(0) <- h.a.(h.n);
-      h.a.(h.n) <- dummy;
-      let rec down i =
-        let l = (2 * i) + 1 and r = (2 * i) + 2 in
-        let m = if l < h.n && before h.a.(l) h.a.(i) then l else i in
-        let m = if r < h.n && before h.a.(r) h.a.(m) then r else m in
-        if m <> i then begin
-          let t = h.a.(i) in
-          h.a.(i) <- h.a.(m);
-          h.a.(m) <- t;
-          down m
+    let slot = h.slots.(0) in
+    let e = h.ents.(slot) in
+    h.ents.(slot) <- dummy;
+    let last = h.n - 1 in
+    h.n <- last;
+    if last > 0 then begin
+      let i = ref 0 and sinking = ref true in
+      while !sinking do
+        let c = (4 * !i) + 1 in
+        if c >= last then sinking := false
+        else begin
+          let m = ref c in
+          let hi = if c + 3 < last then c + 3 else last - 1 in
+          for j = c + 1 to hi do
+            if before h j !m then m := j
+          done;
+          let m = !m in
+          if before h m last then begin
+            move h ~src:m ~dst:!i;
+            i := m
+          end
+          else sinking := false
         end
-      in
-      down 0;
-      Some top
-    end
+      done;
+      move h ~src:last ~dst:!i
+    end;
+    h.slots.(last) <- slot;
+    e
 end
 
 type proc_state =
@@ -165,15 +247,14 @@ let rank_of sched cls serial =
   match (sched, cls) with
   | Sched.Fifo, _ -> 0
   | _, Deferred -> max_int
-  | Sched.Shuffle seed, Normal -> Sched.mix seed serial
-  | Sched.Adversarial, Normal -> -serial
+  | _, Normal -> Sched.rank sched serial
 
 let schedule_entry ?(cls = Normal) ?(label = "engine") eng time fn =
   let time = if time < eng.now then eng.now else time in
-  eng.serial <- eng.serial + 1;
-  let rank = rank_of eng.sched cls eng.serial in
-  let e = { Heap.time; rank; serial = eng.serial; live = true; label; fn } in
-  Heap.push eng.heap e;
+  let serial = eng.serial + 1 in
+  eng.serial <- serial;
+  let e = { Heap.time; live = true; label; fn } in
+  Heap.push eng.heap e ~rank:(rank_of eng.sched cls serial) ~serial;
   e
 
 let schedule_at ?cls ?label eng time fn =
@@ -226,37 +307,34 @@ module Engine = struct
   let events t = t.events
 
   let rec step t =
-    match Heap.pop t.heap with
-    | None -> false
-    | Some e ->
-      if e.Heap.live then begin
-        t.now <- e.Heap.time;
-        t.events <- t.events + 1;
-        (match t.prof with
-        | None -> e.Heap.fn ()
-        | Some p ->
-          Obs.Prof.begin_event p;
-          e.Heap.fn ();
-          Obs.Prof.end_event p e.Heap.label);
-        true
-      end
-      else step t (* cancelled: skip without advancing time *)
+    t.heap.Heap.n > 0
+    &&
+    let e = Heap.pop t.heap in
+    if e.Heap.live then begin
+      t.now <- e.Heap.time;
+      t.events <- t.events + 1;
+      (match t.prof with
+      | None -> e.Heap.fn ()
+      | Some p ->
+        Obs.Prof.begin_event p;
+        e.Heap.fn ();
+        Obs.Prof.end_event p e.Heap.label);
+      true
+    end
+    else step t (* cancelled: skip without advancing time *)
 
   let run ?until t =
+    let h = t.heap in
     let continue_ () =
       (* drop dead entries off the top so the peek is accurate *)
-      let rec prune () =
-        if t.heap.Heap.n > 0 && not t.heap.Heap.a.(0).Heap.live then begin
-          ignore (Heap.pop t.heap);
-          prune ()
-        end
-      in
-      prune ();
-      t.heap.Heap.n > 0
+      while h.Heap.n > 0 && not (Heap.top h).Heap.live do
+        ignore (Heap.pop h)
+      done;
+      h.Heap.n > 0
       &&
       match until with
       | None -> true
-      | Some limit -> t.heap.Heap.a.(0).Heap.time <= limit
+      | Some limit -> h.Heap.times.(0) <= limit
     in
     let rec loop () = if continue_ () then if step t then loop () in
     loop ();

@@ -36,6 +36,12 @@ module Sched : sig
 
   val of_string : string -> policy option
   (** Inverse of {!to_string} (also accepts ["lifo"]). *)
+
+  val rank : policy -> int -> int
+  (** [rank policy serial] is the tie-break key of the [serial]-th event
+      scheduled on an engine (counting from 1), unless it is a polling
+      reschedule: the queue fires events in ascending
+      (time, rank, serial) order. *)
 end
 
 module Engine : sig

@@ -26,8 +26,9 @@ let make ~ns ~uname =
 let fork ?(share_ns = false) t =
   (* descriptors are inherited across fork, sharing channel and offset
      (exactly what the paper's echo server relies on: the child accepts
-     the call on the listen fd, the parent closes its copy) *)
-  let fds = Hashtbl.create 17 in
+     the call on the listen fd, the parent closes its copy); a child
+     holds few, so its table starts at the smallest size *)
+  let fds = Hashtbl.create 1 in
   Hashtbl.iter
     (fun fd f ->
       f.of_refs <- f.of_refs + 1;

@@ -2,7 +2,9 @@ type flag = Repl | Before | After
 
 type member = { m_chan : Chan.t; m_create : bool }
 
-type entry = { onto_key : int * int32; mutable unions : member list }
+(* Entries are immutable, so forks share them: a bind rebuilds the entry
+   it changes in its own name space's table. *)
+type entry = { onto_key : int * int32; unions : member list }
 
 type t = {
   mutable table : entry list;
@@ -22,13 +24,20 @@ type t = {
    which is not a connection error. *)
 let chaos_union_lost_walk = ref false
 
-let is_conn_error e =
-  let needle = "hung up" in
-  let nl = String.length needle and el = String.length e in
-  let rec find i =
-    i + nl <= el && (String.sub e i nl = needle || find (i + 1))
-  in
-  find 0
+let conn_needle = "hung up"
+
+(* whether [conn_needle] occurs in [e] at [i], from its [j]th byte *)
+let rec needle_at e i j =
+  j = String.length conn_needle
+  || (e.[i + j] = conn_needle.[j] && needle_at e i (j + 1))
+
+(* whether it occurs at or after [i]; top-level like [needle_at], so
+   no closure is allocated *)
+let rec needle_from e i =
+  i + String.length conn_needle <= String.length e
+  && (needle_at e i 0 || needle_from e (i + 1))
+
+let is_conn_error e = needle_from e 0
 
 let make ~root ~uname =
   {
@@ -39,15 +48,9 @@ let make ~root ~uname =
     mounts = ref [];
   }
 
-(* Mount-table entries are shared structurally but the list itself is
-   copied, so binds after the fork are invisible to the parent...
-   except entry.unions is mutable.  Deep-copy the entries. *)
-let fork t =
-  {
-    t with
-    table =
-      List.map (fun e -> { onto_key = e.onto_key; unions = e.unions }) t.table;
-  }
+(* The table and its entries are immutable values, so the child shares
+   them; a bind on either side replaces only its own [table] field. *)
+let fork t = { t with table = t.table }
 
 let uname t = t.ns_uname
 let root t = Chan.clone t.root_chan
@@ -60,12 +63,21 @@ let fresh_devid t =
 let register_mount t ~onto metrics = t.mounts := !(t.mounts) @ [ (onto, metrics) ]
 let mounts t = !(t.mounts)
 
-let lookup t key = List.find_opt (fun e -> e.onto_key = key) t.table
+let same_key (d, q) (d', q') = Int.equal d d' && Int32.equal q q'
+
+(* the union mounted at [key]; [] when nothing is (a table entry's
+   union is never empty) *)
+let rec find_union key = function
+  | [] -> []
+  | e :: rest ->
+    if same_key e.onto_key key then e.unions else find_union key rest
+
+let lookup t key = find_union key t.table
 
 let members t c =
   match lookup t (Chan.key c) with
-  | Some e -> e.unions
-  | None -> [ { m_chan = c; m_create = true } ]
+  | [] -> [ { m_chan = c; m_create = true } ]
+  | unions -> unions
 
 let union_of t c = List.map (fun m -> m.m_chan) (members t c)
 
@@ -94,17 +106,17 @@ let walk1 t c name =
 (* Cross into the mounted tree at [c], if any: the head of its union. *)
 let enter t c =
   match lookup t (Chan.key c) with
-  | Some { unions = m0 :: _; _ } -> Chan.clone m0.m_chan
-  | Some { unions = []; _ } | None -> c
+  | m0 :: _ -> Chan.clone m0.m_chan
+  | [] -> c
 
 (* The member creation lands in: the first with the MCREATE bit, per
    the paper's bind -c.  A union where no member allows creation
    refuses, like the kernel's "mounted directory forbids creation". *)
 let create_target t c =
   match lookup t (Chan.key c) with
-  | None -> Ok (Chan.clone c)
-  | Some e -> (
-    match List.find_opt (fun m -> m.m_create) e.unions with
+  | [] -> Ok (Chan.clone c)
+  | unions -> (
+    match List.find_opt (fun m -> m.m_create) unions with
     | Some m -> Ok (Chan.clone m.m_chan)
     | None -> Error "mounted directory forbids creation")
 
@@ -142,13 +154,18 @@ let bind ?(mcreate = true) t ~src ~onto flag =
   let key = Chan.key onto in
   let m = { m_chan = src; m_create = mcreate } in
   match lookup t key with
-  | Some e ->
-    e.unions <-
-      (match flag with
+  | _ :: _ as old ->
+    let unions =
+      match flag with
       | Repl -> [ m ]
-      | Before -> m :: e.unions
-      | After -> e.unions @ [ m ])
-  | None ->
+      | Before -> m :: old
+      | After -> old @ [ m ]
+    in
+    t.table <-
+      List.map
+        (fun e -> if same_key e.onto_key key then { e with unions } else e)
+        t.table
+  | [] ->
     (* the mounted-upon directory itself keeps its create permission,
        matching the historical behaviour of this table (a documented
        divergence from the 1993 kernel, which required an explicit
@@ -165,16 +182,19 @@ let bind ?(mcreate = true) t ~src ~onto flag =
 let unmount ?src t ~onto =
   let key = Chan.key onto in
   match src with
-  | None -> t.table <- List.filter (fun e -> e.onto_key <> key) t.table
+  | None ->
+    t.table <- List.filter (fun e -> not (same_key e.onto_key key)) t.table
   | Some s ->
     let skey = Chan.key s in
     t.table <-
       List.filter_map
         (fun e ->
-          if e.onto_key <> key then Some e
+          if not (same_key e.onto_key key) then Some e
           else
             match
-              List.filter (fun m -> Chan.key m.m_chan <> skey) e.unions
+              List.filter
+                (fun m -> not (same_key (Chan.key m.m_chan) skey))
+                e.unions
             with
             | [] -> None
             | unions -> Some { e with unions })

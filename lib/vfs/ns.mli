@@ -23,8 +23,9 @@ val make : root:'n Ninep.Server.fs -> uname:string -> t
 (** A fresh name space rooted at [root] (attached with [uname]). *)
 
 val fork : t -> t
-(** Copy the mount table — the new name space evolves independently
-    (rfork RFNAMEG). *)
+(** A name space that starts with this one's mount table and evolves
+    independently (rfork RFNAMEG).  O(1): the two share the table until
+    either side binds or unmounts. *)
 
 val uname : t -> string
 val root : t -> Chan.t

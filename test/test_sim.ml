@@ -299,6 +299,77 @@ let complexity_guards =
         Sim.Engine.run eng );
   ]
 
+(* A sleep/wake cycle against [n] timers pending far in the future: the
+   queue's depth must not change what a cycle allocates. *)
+let sleep_wake_words n =
+  let eng = Sim.Engine.create () in
+  for i = 1 to n do
+    Sim.Time.arm_at (Sim.Time.timer eng) (1e9 +. float_of_int i) ignore
+  done;
+  ignore
+    (Sim.Proc.spawn eng ~name:"sleeper" (fun () ->
+         while true do
+           Sim.Time.sleep eng 1.0
+         done));
+  Sim.Engine.run ~until:0.5 eng;
+  let w0 = Gc.minor_words () in
+  Sim.Engine.run ~until:(0.5 +. float_of_int guard_cycles) eng;
+  let w = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "timers still pending" (n + 1) (Sim.Engine.pending eng);
+  w
+
+let test_sleep_flat_in_pending () =
+  let w1 = sleep_wake_words 1_000 and w3 = sleep_wake_words 3_000 in
+  if w1 <> w3 then
+    Alcotest.failf
+      "%d sleep/wake cycles allocate %.0f words with 1000 timers pending, \
+       %.0f with 3000"
+      guard_cycles w1 w3
+
+(* Popping an event allocates nothing, however deep the queue: sifting
+   moves keys in flat arrays and the popped entry is returned as is. *)
+let test_pop_allocates_nothing () =
+  let eng = Sim.Engine.create () in
+  let n = 20_000 in
+  for i = 1 to n do
+    Sim.Engine.at eng (float_of_int ((i * 7919) mod 1000)) ignore
+  done;
+  let w0 = Gc.minor_words () in
+  while Sim.Engine.step eng do
+    ()
+  done;
+  let w = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "drained" 0 (Sim.Engine.pending eng);
+  (* the one boxed float [Gc.minor_words] returns *)
+  if w > 2. then
+    Alcotest.failf "popping %d events allocated %.0f words" n w
+
+(* Words per [Env.fork] of an environment whose name space holds [n]
+   mounts: a fork shares the mount table, so [n] must not matter. *)
+let fork_words n =
+  let ram = Ninep.Ramfs.make ~name:"root" () in
+  let ns = Vfs.Ns.make ~root:(Ninep.Ramfs.fs ram) ~uname:"glenda" in
+  let env = Vfs.Env.make ~ns ~uname:"glenda" in
+  for i = 1 to n do
+    let d = Printf.sprintf "/d%d" i in
+    Ninep.Ramfs.mkdir ram d;
+    Ninep.Ramfs.mkdir ram (d ^ "/onto");
+    Vfs.Env.bind env ~src:d ~onto:(d ^ "/onto") Vfs.Ns.After
+  done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to guard_cycles do
+    ignore (Sys.opaque_identity (Vfs.Env.fork env))
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int guard_cycles
+
+let test_fork_flat_in_mounts () =
+  let w10 = fork_words 10 and w30 = fork_words 30 in
+  if w10 <> w30 then
+    Alcotest.failf
+      "Env.fork: %.1f words with 10 mounts, %.1f with 30 — a fork copies \
+       the mount table"
+      w10 w30
+
 let test_mbox () =
   let eng = Sim.Engine.create () in
   let mb = Sim.Mbox.create eng in
@@ -581,6 +652,184 @@ let test_whole_engine_schedule_determinism () =
     [ Sim.Sched.Fifo; Sim.Sched.Shuffle 3; Sim.Sched.Shuffle 4;
       Sim.Sched.Adversarial ]
 
+(* ---- the event queue against a reference model ---- *)
+
+(* One step of a random schedule.  Times are whole offsets from [now], so
+   equal times are common; [Cancel i] disarms the [i]th cancellable
+   entry (mod their count), which may have fired already. *)
+type qop =
+  | At of int  (* an entry nobody cancels *)
+  | Arm of int  (* an entry on a timer of its own *)
+  | Cancel of int
+  | Step
+  | Run_until of int
+  | Drain  (* only as the last step *)
+
+let qop_to_string = function
+  | At k -> Printf.sprintf "at+%d" k
+  | Arm k -> Printf.sprintf "arm+%d" k
+  | Cancel i -> Printf.sprintf "cancel#%d" i
+  | Step -> "step"
+  | Run_until k -> Printf.sprintf "run+%d" k
+  | Drain -> "drain"
+
+(* offsets cluster on a few values, so many entries share a time, and
+   runs advance the clock slowly, so that about half the cases queue
+   more entries than the queue's initial capacity of 64 *)
+let qop_gen =
+  QCheck.Gen.(
+    let offset = oneof [ 0 -- 3; 0 -- 40 ] in
+    frequency
+      [
+        (6, map (fun k -> At k) offset);
+        (6, map (fun k -> Arm k) offset);
+        (4, map (fun i -> Cancel i) nat);
+        (3, return Step);
+        (1, map (fun k -> Run_until k) (0 -- 1));
+      ])
+
+let policy_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        return Sim.Sched.Fifo;
+        map (fun s -> Sim.Sched.Shuffle s) (0 -- 1000);
+        return Sim.Sched.Adversarial;
+      ])
+
+(* an entry of the reference queue *)
+type qref = {
+  q_time : float;
+  q_rank : int;
+  q_serial : int;  (* also the entry's name in the firing log *)
+  mutable q_cancelled : bool;
+}
+
+let qref_order a b =
+  match Float.compare a.q_time b.q_time with
+  | 0 -> (
+    match Int.compare a.q_rank b.q_rank with
+    | 0 -> Int.compare a.q_serial b.q_serial
+    | c -> c)
+  | c -> c
+
+(* Run [ops] on an engine and on the model side by side; [Error] names
+   the first disagreement. *)
+let queue_agrees policy ops =
+  let eng = Sim.Engine.create ~sched:policy () in
+  let fired = ref [] in
+  (* the model: unpopped entries, its clock, and its firing log *)
+  let queue = ref [] and now = ref 0. and model_fired = ref [] in
+  let serial = ref 0 in
+  let timers = ref [] and ntimers = ref 0 in
+  let add k =
+    incr serial;
+    let e =
+      {
+        q_time = !now +. float_of_int k;
+        q_rank = Sim.Sched.rank policy !serial;
+        q_serial = !serial;
+        q_cancelled = false;
+      }
+    in
+    queue := List.merge qref_order [ e ] !queue;
+    e
+  in
+  let fire_fn s () = fired := s :: !fired in
+  (* pop the least entry; [until] bounds the live ones that may fire *)
+  let rec model_step ~until =
+    match !queue with
+    | [] -> false
+    | e :: rest when e.q_cancelled ->
+      queue := rest;
+      model_step ~until
+    | e :: rest ->
+      if e.q_time > until then false
+      else begin
+        queue := rest;
+        now := e.q_time;
+        model_fired := e.q_serial :: !model_fired;
+        true
+      end
+  in
+  let apply = function
+    | At k ->
+      let e = add k in
+      Sim.Engine.at eng (Sim.Engine.now eng +. float_of_int k)
+        (fire_fn e.q_serial)
+    | Arm k ->
+      let e = add k in
+      let t = Sim.Time.timer eng in
+      Sim.Time.arm t (float_of_int k) (fire_fn e.q_serial);
+      timers := (t, e) :: !timers;
+      incr ntimers
+    | Cancel i ->
+      if !ntimers > 0 then begin
+        let t, e = List.nth !timers (i mod !ntimers) in
+        if Sim.Time.armed t then e.q_cancelled <- true;
+        Sim.Time.disarm t
+      end
+    | Step ->
+      (* a step skips cancelled entries until it fires one *)
+      ignore (Sim.Engine.step eng);
+      ignore (model_step ~until:infinity)
+    | Run_until k ->
+      let limit = !now +. float_of_int k in
+      Sim.Engine.run ~until:limit eng;
+      while model_step ~until:limit do
+        ()
+      done;
+      now := Float.max !now limit
+    | Drain ->
+      Sim.Engine.run eng;
+      while model_step ~until:infinity do
+        ()
+      done;
+      queue := []
+  in
+  let rec go i = function
+    | [] -> Ok ()
+    | op :: rest ->
+      apply op;
+      if !fired <> !model_fired then
+        Error
+          (Printf.sprintf "after op %d (%s): fired %s, model %s" i
+             (qop_to_string op)
+             (String.concat "," (List.rev_map string_of_int !fired))
+             (String.concat "," (List.rev_map string_of_int !model_fired)))
+      else if Sim.Engine.pending eng <> List.length !queue then
+        Error
+          (Printf.sprintf "after op %d (%s): %d pending, model %d" i
+             (qop_to_string op) (Sim.Engine.pending eng) (List.length !queue))
+      else if Sim.Engine.now eng <> !now then
+        Error
+          (Printf.sprintf "after op %d (%s): now %g, model %g" i
+             (qop_to_string op) (Sim.Engine.now eng) !now)
+      else go (i + 1) rest
+  in
+  let cancelled_fired () =
+    List.exists
+      (fun (_, e) -> e.q_cancelled && List.mem e.q_serial !fired)
+      !timers
+  in
+  match go 0 (ops @ [ Drain ]) with
+  | Error _ as e -> e
+  | Ok () when cancelled_fired () -> Error "a cancelled entry fired"
+  | Ok () -> Ok ()
+
+let prop_queue_model =
+  QCheck.Test.make ~name:"queue fires in (time, rank, serial) order"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (p, ops) ->
+         Sim.Sched.to_string p ^ ": "
+         ^ String.concat " " (List.map qop_to_string ops))
+       QCheck.Gen.(pair policy_gen (list_size (50 -- 400) qop_gen)))
+    (fun (policy, ops) ->
+      match queue_agrees policy ops with
+      | Ok () -> true
+      | Error why -> QCheck.Test.fail_report why)
+
 let () =
   Alcotest.run "sim"
     [
@@ -626,7 +875,16 @@ let () =
           (fun (what, op) ->
             Alcotest.test_case what `Quick
               (flat_in_live_procs what op))
-          complexity_guards );
+          complexity_guards
+        @ [
+            Alcotest.test_case "pop allocates nothing" `Quick
+              test_pop_allocates_nothing;
+            Alcotest.test_case "sleep/wake, pending timers" `Quick
+              test_sleep_flat_in_pending;
+            Alcotest.test_case "Env.fork, mounts" `Quick
+              test_fork_flat_in_mounts;
+          ] );
+      ("queue", [ QCheck_alcotest.to_alcotest prop_queue_model ]);
       ( "cpu",
         [
           Alcotest.test_case "serializes" `Quick test_cpu_serializes;

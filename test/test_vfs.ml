@@ -153,6 +153,56 @@ let test_ns_fork_isolation () =
       Alcotest.(check (list string)) "parent does not" []
         (names (Vfs.Env.ls env "/mnt")))
 
+(* A fork shares its parent's mount table, so a bind or unmount on an
+   existing union — on either side — must replace that side's entry,
+   never edit the shared one. *)
+let test_ns_fork_union_isolation () =
+  with_env (fun _eng env ram ->
+      (* every member holds its own [f], so reading /mnt/f names the
+         union's head; listings are sorted *)
+      List.iter
+        (fun (d, own) ->
+          Ninep.Ramfs.add_file ram (d ^ "/f") d;
+          Ninep.Ramfs.add_file ram (d ^ "/" ^ own) own)
+        [ ("/mnt", "m"); ("/a", "x"); ("/b", "y"); ("/c", "z") ];
+      Vfs.Env.bind env ~src:"/a" ~onto:"/mnt" Vfs.Ns.After;
+      let view e =
+        (Vfs.Env.read_file e "/mnt/f", names (Vfs.Env.ls e "/mnt"))
+      in
+      let view_t = Alcotest.(pair string (list string)) in
+      let before = ("/mnt", [ "f"; "m"; "x" ]) in
+      let edits_stay_private ~edited ~other =
+        List.iter
+          (fun (what, edit, want) ->
+            edit ();
+            Alcotest.check view_t (what ^ ": edited side") want (view edited);
+            Alcotest.check view_t (what ^ ": other side unchanged") before
+              (view other))
+          [
+            ( "bind -b",
+              (fun () ->
+                Vfs.Env.bind edited ~src:"/b" ~onto:"/mnt" Vfs.Ns.Before),
+              ("/b", [ "f"; "m"; "x"; "y" ]) );
+            ( "bind -a",
+              (fun () ->
+                Vfs.Env.bind edited ~src:"/c" ~onto:"/mnt" Vfs.Ns.After),
+              ("/b", [ "f"; "m"; "x"; "y"; "z" ]) );
+            ( "unmount one member",
+              (fun () -> Vfs.Env.unmount edited ~src:"/b" ~onto:"/mnt"),
+              ("/mnt", [ "f"; "m"; "x"; "z" ]) );
+            ( "bind (replace)",
+              (fun () ->
+                Vfs.Env.bind edited ~src:"/c" ~onto:"/mnt" Vfs.Ns.Repl),
+              ("/c", [ "f"; "z" ]) );
+            ( "unmount",
+              (fun () -> Vfs.Env.unmount edited ~onto:"/mnt"),
+              ("/mnt", [ "f"; "m" ]) );
+          ]
+      in
+      edits_stay_private ~edited:(Vfs.Env.fork env) ~other:env;
+      let child = Vfs.Env.fork env in
+      edits_stay_private ~edited:env ~other:child)
+
 let test_shared_ns_fork () =
   with_env (fun _eng env ram ->
       Ninep.Ramfs.add_file ram "/a/x" "ax";
@@ -342,6 +392,8 @@ let () =
           Alcotest.test_case "bind file onto file" `Quick
             test_bind_file_onto_file;
           Alcotest.test_case "fork isolation" `Quick test_ns_fork_isolation;
+          Alcotest.test_case "fork union isolation" `Quick
+            test_ns_fork_union_isolation;
           Alcotest.test_case "shared ns fork" `Quick test_shared_ns_fork;
         ] );
       ( "paths",
